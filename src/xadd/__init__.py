@@ -22,29 +22,9 @@ from .core import (
     make_float,
     make_float_from_int,
 )
-from .engine import (
-    AddOutcome,
-    Alignment,
-    ErrorClass,
-    InvalidCombination,
-    MainTerm,
-    ScanStats,
-    add_positive,
-    classify_error,
-    combine_rfe,
-    compute_main_term,
-)
+from .engine import AddOutcome, ScanStats, add_positive
 from .oracle import ExactSum, exact_add, exact_add_round
-from .rounding import (
-    Overflow,
-    RoundAction,
-    RoundDecision,
-    RoundingMode,
-    RoundSticky,
-    apply_increment,
-    decide_round,
-    round_to_prec,
-)
+from .rounding import Overflow, RoundingMode, round_to_prec
 from .textio import (
     FixtureCase,
     ParseError,
@@ -64,36 +44,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddOutcome",
-    "Alignment",
     "Context",
     "DEFAULT_CONTEXT",
     "DEFAULT_EMAX",
     "DEFAULT_EMIN",
     "DEFAULT_MAX_PRECISION",
-    "ErrorClass",
     "ExactSum",
     "ExponentOutOfRange",
     "FixtureCase",
     "Float",
     "FloatValueError",
-    "InvalidCombination",
     "InvalidPrecision",
-    "MainTerm",
     "NotNormalized",
     "Overflow",
     "ParseError",
-    "RoundAction",
-    "RoundDecision",
-    "RoundSticky",
     "RoundingMode",
     "ScanStats",
     "SpecialValue",
     "add_positive",
-    "apply_increment",
-    "classify_error",
-    "combine_rfe",
-    "compute_main_term",
-    "decide_round",
     "exact_add",
     "exact_add_round",
     "format_fixture_line",

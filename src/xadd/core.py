@@ -5,7 +5,8 @@ mantissa is a pure fraction in [1/2, 1), there is no hidden bit and there
 are no subnormals.  Mantissa bits are stored in an array of machine-word
 limbs, most significant limb first; bits of the lowest limb that lie below
 the precision are kept at zero so that two equal values always have equal
-storage.
+storage.  `limbs_from_int` and `int_from_limbs` are the only conversions
+between that storage and Python integers.
 
 Values are immutable.  Exponent range and the precision cap are not
 properties of a value but of a :class:`Context` checked at construction.
@@ -13,6 +14,7 @@ properties of a value but of a :class:`Context` checked at construction.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +24,9 @@ DEFAULT_EMAX = 2**30 - 1
 # machine integers on any host; large enough for any realistic use.
 DEFAULT_MAX_PRECISION = 2**24
 
-_LIMB_WIDTHS = (32, 64)
+# Limb width -> big-endian struct code of one limb.
+_LIMB_CODES = {32: "I", 64: "Q"}
+_LIMB_WIDTHS = tuple(_LIMB_CODES)
 
 
 class FloatValueError(ValueError):
@@ -125,10 +129,7 @@ class Float:
 
     def mantissa_int(self) -> int:
         """The mantissa as one integer of len(limbs)*limb_width bits."""
-        acc = 0
-        for limb in self.limbs:
-            acc = (acc << self.limb_width) | limb
-        return acc
+        return int_from_limbs(self.limbs, self.limb_width)
 
     def mantissa_bits(self) -> str:
         """The p significant mantissa bits as a '0'/'1' string."""
@@ -186,16 +187,29 @@ def make_float_from_int(
         raise NotNormalized(
             f"mantissa {mantissa:#x} does not have exactly {precision} bits with a leading 1"
         )
-    width = ctx.limb_width
-    total = limb_count(precision, width) * width
-    return Float(sign, exponent, precision, limbs_from_int(mantissa << (total - precision), total, width), width)
+    return float_from_mantissa(sign, exponent, precision, mantissa, ctx.limb_width)
+
+
+def float_from_mantissa(
+    sign: int, exponent: int, precision: int, mantissa: int, limb_width: int
+) -> Float:
+    """A Float from a `precision`-bit mantissa int, without context checks."""
+    total = limb_count(precision, limb_width) * limb_width
+    limbs = limbs_from_int(mantissa << (total - precision), total, limb_width)
+    return Float(sign, exponent, precision, limbs, limb_width)
 
 
 def limbs_from_int(value: int, total_bits: int, limb_width: int) -> tuple[int, ...]:
     """Split a `total_bits`-wide integer into limbs, most significant first."""
-    mask = (1 << limb_width) - 1
     count = total_bits // limb_width
-    return tuple((value >> (limb_width * j)) & mask for j in reversed(range(count)))
+    raw = value.to_bytes(total_bits // 8, "big")
+    return struct.unpack(f">{count}{_LIMB_CODES[limb_width]}", raw)
+
+
+def int_from_limbs(limbs: tuple[int, ...], limb_width: int) -> int:
+    """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer."""
+    raw = struct.pack(f">{len(limbs)}{_LIMB_CODES[limb_width]}", *limbs)
+    return int.from_bytes(raw, "big")
 
 
 def get_bit(x: Float, i: int) -> int:

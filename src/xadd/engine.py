@@ -21,15 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_CONTEXT, Context, Float
-from .rounding import (
-    Overflow,
-    RoundAction,
-    RoundingMode,
-    RoundSticky,
-    apply_increment,
-    decide_round,
-)
+from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, int_from_limbs
+from .rounding import Overflow, RoundingMode, decide_round
 
 
 class InvalidCombination(Exception):
@@ -48,21 +41,6 @@ class ErrorClass(Enum):
     GT_ZERO_LT_U = "gt0"
     EQ_U = "eq_u"
     GT_U = "gt_u"
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """Exponent difference d split into whole-limb and in-limb parts."""
-
-    d: int
-    limb_shift: int
-    bit_shift: int
-
-    @classmethod
-    def for_difference(cls, d: int, limb_width: int) -> "Alignment":
-        if d < 0:
-            raise ValueError("alignment requires a non-negative exponent difference")
-        return cls(d, d // limb_width, d % limb_width)
 
 
 @dataclass
@@ -87,14 +65,14 @@ class ScanStats:
 class MainTerm:
     """The truncated top window of the sum.
 
-    `mantissa` holds the first p result bits (low storage bits zeroed), `rb`
-    and `fb` the two bits that follow.  When the window addition carried,
+    `mantissa` holds the first p result bits as a p-bit int, `rb` and `fb`
+    the two bits that follow.  When the window addition carried,
     the window was shifted right by one, `exponent` is one above x's, and
     `shifted_out` records the displaced sum bit, which now belongs to the
     error term one position above the first untested input position.
     """
 
-    mantissa: tuple[int, ...]
+    mantissa: int
     exponent: int
     rb: int
     fb: int
@@ -139,12 +117,11 @@ class _YReader:
 
     __slots__ = ("limbs", "w", "mask", "limb_shift", "bit_shift", "count")
 
-    def __init__(self, f: Float, align: Alignment) -> None:
+    def __init__(self, f: Float, d: int) -> None:
         self.limbs = f.limbs
         self.w = f.limb_width
         self.mask = (1 << f.limb_width) - 1
-        self.limb_shift = align.limb_shift
-        self.bit_shift = align.bit_shift
+        self.limb_shift, self.bit_shift = divmod(d, f.limb_width)
         self.count = 0
 
     def _limb(self, i: int) -> int:
@@ -163,70 +140,44 @@ class _YReader:
         return ((hi << (self.w - shift)) | (lo >> shift)) & self.mask
 
 
-def _window_bit(work: list[int], i: int, w: int) -> int:
-    return (work[(i - 1) // w] >> (w - 1 - (i - 1) % w)) & 1
-
-
-def compute_main_term(x: Float, y: Float, precision: int, align: Alignment) -> MainTerm:
+def compute_main_term(x: Float, y: Float, precision: int, d: int) -> MainTerm:
     """Exact sum of the first p+2 bits of x and the overlapping bits of y.
 
-    x must be the operand with the larger exponent.  The window is computed
-    limb by limb; a carry out of the leading bit bumps the exponent and
-    shifts the window right, displacing its lowest bit into the error term.
+    x must be the operand with the larger exponent and d >= 0 the exponent
+    difference.  Only the limbs that hold window bits are read: those of x
+    covering positions 1..p+2, and those of y reaching them after the shift
+    by d.  A carry out of the leading bit bumps the exponent and shifts the
+    window right, displacing its lowest bit into the error term.
     """
     w = x.limb_width
-    mask = (1 << w) - 1
     window = precision + 2
     nlimbs = -(-window // w)
-    tail_keep = window - (nlimbs - 1) * w  # 1..w bits of the last limb inside the window
-    tail_mask = (mask << (w - tail_keep)) & mask
+    xs = x.limbs[:nlimbs]
+    ys = y.limbs[: nlimbs - d // w] if d < window else ()
 
-    xr = _XReader(x)
-    yr = _YReader(y, align)
-
-    work = [xr.limb(j) for j in range(nlimbs)]
-    work[-1] &= tail_mask
-
-    carried = False
-    if align.d < window:  # otherwise y contributes to the error term only
-        carry = 0
-        for j in reversed(range(nlimbs)):
-            yb = yr.block(j)
-            if j == nlimbs - 1:
-                yb &= tail_mask
-            total = work[j] + yb + carry
-            work[j] = total & mask
-            carry = total >> w
-        carried = carry != 0
+    # Each slice as an integer, scaled so that its bit at window position
+    # `window` has weight 1; bits past the window fall off the right end.
+    total = 0
+    for limbs, shift in ((xs, window - len(xs) * w), (ys, window - d - len(ys) * w)):
+        value = int_from_limbs(limbs, w)
+        total += value << shift if shift >= 0 else value >> -shift
 
     exponent = x.exponent
+    carried = total >> window != 0
     shifted_out = None
     if carried:
-        shifted_out = _window_bit(work, window, w)
-        carry_in = 1
-        for j in range(nlimbs):
-            cur = work[j]
-            work[j] = (carry_in << (w - 1)) | (cur >> 1)
-            carry_in = cur & 1
-        work[-1] &= tail_mask
+        shifted_out = total & 1
+        total >>= 1
         exponent += 1
-
-    rb = _window_bit(work, precision + 1, w)
-    fb = _window_bit(work, precision + 2, w)
-
-    res_limbs = -(-precision // w)
-    mantissa = work[:res_limbs]
-    keep = precision - (res_limbs - 1) * w
-    mantissa[-1] &= (mask << (w - keep)) & mask
     return MainTerm(
-        tuple(mantissa), exponent, rb, fb, carried, shifted_out, xr.count, yr.count
+        total >> 2, exponent, (total >> 1) & 1, total & 1, carried, shifted_out, len(xs), len(ys)
     )
 
 
 def classify_error(
     x: Float,
     y: Float,
-    align: Alignment,
+    d: int,
     fb: int,
     start_pos: int,
     shifted_out: int | None = None,
@@ -249,13 +200,12 @@ def classify_error(
     """
     w = x.limb_width
     mask = (1 << w) - 1
-    d = align.d
     m = x.precision
     y_end = d + y.precision
     last = max(m, y_end)
     stats = ScanStats()
     xr = _XReader(x)
-    yr = _YReader(y, align)
+    yr = _YReader(y, d)
     offset = 0 if shifted_out is None else 1  # result frame sits this far below the x frame
 
     def scan_for_one(pos: int) -> int | None:
@@ -353,27 +303,27 @@ _COMBINE = {
 }
 
 
-def combine_rfe(rb: int, fb: int, error_class: ErrorClass) -> tuple[RoundSticky, bool]:
-    """Fold the following bit and the error class into the final (r, s) pair.
+def combine_rfe(rb: int, fb: int, error_class: ErrorClass) -> tuple[int, int, bool]:
+    """Fold the following bit and the error class into the final (r, s, carry).
 
-    The second element asks the caller to add one ulp to the truncated
-    mantissa before rounding; the (r, s) pair stays valid afterwards even if
-    that carry renormalizes the mantissa, because the leftover error is far
-    below the new ulp.
+    `carry` asks the caller to add one ulp to the truncated mantissa before
+    rounding; the (r, s) pair stays valid afterwards even if that carry
+    renormalizes the mantissa, because the leftover error is far below the
+    new ulp.
     """
     try:
-        r, s, carry = _COMBINE[(rb, fb, error_class)]
+        return _COMBINE[(rb, fb, error_class)]
     except KeyError:
         raise InvalidCombination(
             f"no input can produce rb={rb}, fb={fb}, {error_class}"
         ) from None
-    return RoundSticky(r, s), carry
 
 
 def _ordered(x: Float, y: Float) -> tuple[Float, Float]:
-    # Deterministic and symmetric in its arguments so that addition commutes
-    # exactly, statistics included.
-    if (x.exponent, x.precision, x.limbs) >= (y.exponent, y.precision, y.limbs):
+    # Symmetric in its arguments so that addition commutes exactly,
+    # statistics included: operands tied on exponent and precision have the
+    # same limb count and are read at the same limb indices.
+    if (x.exponent, x.precision) >= (y.exponent, y.precision):
         return x, y
     return y, x
 
@@ -400,29 +350,25 @@ def add_positive(
     ctx.check_precision(precision)
 
     a, b = _ordered(x, y)
-    align = Alignment.for_difference(a.exponent - b.exponent, a.limb_width)
-    term = compute_main_term(a, b, precision, align)
-    error_class, scan = classify_error(
-        a, b, align, term.fb, precision + 3, term.shifted_out
-    )
-    rs, mantissa_carry = combine_rfe(term.rb, term.fb, error_class)
+    d = a.exponent - b.exponent
+    term = compute_main_term(a, b, precision, d)
+    error_class, stats = classify_error(a, b, d, term.fb, precision + 3, term.shifted_out)
+    r, s, carry = combine_rfe(term.rb, term.fb, error_class)
 
-    w = a.limb_width
-    limbs, exponent = term.mantissa, term.exponent
-    if mantissa_carry:
-        limbs, exponent, _ = apply_increment(limbs, precision, exponent, w, ctx.emax)
-    last_bit = (limbs[-1] >> (w - 1 - (precision - 1) % w)) & 1
-    decision = decide_round(mode, rs, last_bit)
-    if decision.action is RoundAction.INCREMENT:
-        limbs, exponent, _ = apply_increment(limbs, precision, exponent, w, ctx.emax)
+    mantissa, exponent = term.mantissa + carry, term.exponent
+    if mantissa >> precision:  # 0.11..1 + ulp wrapped around
+        mantissa >>= 1
+        exponent += 1
+    ternary = decide_round(mode, r, s, mantissa & 1)
+    if ternary == 1:
+        mantissa += 1
+        if mantissa >> precision:
+            mantissa >>= 1
+            exponent += 1
     if exponent > ctx.emax:
-        return Overflow(mode, 1, decision.ternary)
+        return Overflow(mode, 1, ternary)
 
-    stats = ScanStats(
-        x_limbs_read=max(term.x_limbs_read, scan.x_limbs_read),
-        y_limbs_read=max(term.y_limbs_read, scan.y_limbs_read),
-        trailing_bits_examined=scan.trailing_bits_examined,
-        q_found_at=scan.q_found_at,
-    )
-    result = Float(1, exponent, precision, limbs, w)
-    return AddOutcome(result, decision.ternary, stats)
+    stats.x_limbs_read = max(term.x_limbs_read, stats.x_limbs_read)
+    stats.y_limbs_read = max(term.y_limbs_read, stats.y_limbs_read)
+    result = float_from_mantissa(1, exponent, precision, mantissa, a.limb_width)
+    return AddOutcome(result, ternary, stats)

@@ -2,19 +2,21 @@
 
 This module exists to check the limb engine by a second, structurally
 unrelated route: both operands are expanded into a single unbounded integer
-each, added exactly, and the sum is rounded by extracting the rounding bit
-and a full OR over every lower bit.  Nothing here shares code with the
-engine except the rounding decision table itself, which both paths must
-apply identically by design.  Clarity wins over speed throughout.
+each, added exactly, and the sum is rounded by `round_magnitude`, which
+extracts the rounding bit and a full OR over every lower bit.  Besides
+the value type and limb codec in `core`, the only code shared with the
+engine is the rounding decision table (`decide_round`), which both paths
+must apply identically by design; `round_magnitude` is shared with
+`round_to_prec` alone.  Clarity wins over speed throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_CONTEXT, Context, Float, limb_count, limbs_from_int
+from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa
 from .engine import AddOutcome, ScanStats
-from .rounding import Overflow, RoundAction, RoundingMode, RoundSticky, decide_round
+from .rounding import Overflow, RoundingMode, round_magnitude
 
 
 @dataclass(frozen=True)
@@ -67,36 +69,9 @@ def exact_add_round(
         raise ValueError("operands must share a limb width")
     ctx.check_precision(precision)
     total = exact_add(x, y)
-    magnitude = total.magnitude
-    bits = magnitude.bit_length()
-    exponent = total.exponent
-
-    if bits <= precision:
-        mantissa = magnitude << (precision - bits)
-        rs = RoundSticky(0, 0)
-    else:
-        drop = bits - precision
-        mantissa = magnitude >> drop
-        r = (magnitude >> (drop - 1)) & 1
-        s = int(bool(magnitude & ((1 << (drop - 1)) - 1)))
-        rs = RoundSticky(r, s)
-
-    decision = decide_round(mode, rs, mantissa & 1)
-    if decision.action is RoundAction.INCREMENT:
-        mantissa += 1
-        if mantissa >> precision:
-            mantissa >>= 1
-            exponent += 1
+    mantissa, carry, ternary = round_magnitude(total.magnitude, precision, mode)
+    exponent = total.exponent + carry
     if exponent > ctx.emax:
-        return Overflow(mode, 1, decision.ternary)
-
-    w = x.limb_width
-    width = limb_count(precision, w) * w
-    result = Float(
-        1,
-        exponent,
-        precision,
-        limbs_from_int(mantissa << (width - precision), width, w),
-        w,
-    )
-    return AddOutcome(result, decision.ternary, ScanStats())
+        return Overflow(mode, 1, ternary)
+    result = float_from_mantissa(1, exponent, precision, mantissa, x.limb_width)
+    return AddOutcome(result, ternary, ScanStats())

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-from .core import DEFAULT_CONTEXT, Context, Float, limb_count, limbs_from_int
+from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa
 
 
 class RoundingMode(Enum):
@@ -32,21 +31,6 @@ class RoundingMode(Enum):
     UP = "up"
     TOWARD_ZERO = "zero"
     NEAREST_EVEN = "nearest"
-
-
-class RoundAction(Enum):
-    TRUNCATE = "truncate"
-    INCREMENT = "increment"
-
-
-class RoundSticky(NamedTuple):
-    r: int
-    s: int
-
-
-class RoundDecision(NamedTuple):
-    action: RoundAction
-    ternary: int
 
 
 @dataclass(frozen=True)
@@ -64,58 +48,42 @@ class Overflow:
     ternary: int
 
 
-def decide_round(mode: RoundingMode, rs: RoundSticky, last_bit: int) -> RoundDecision:
-    """Apply the rounding table to a truncated positive mantissa.
+def decide_round(mode: RoundingMode, r: int, s: int, last_bit: int) -> int:
+    """Apply the rounding table to a truncated positive mantissa and return
+    the ternary value; the mantissa is incremented exactly when it is +1.
 
     `last_bit` is the lowest kept mantissa bit (weight 2**-p), consulted only
     to break the NearestEven halfway case.
     """
-    r, s = rs
-    if r == 0 and s == 0:
-        return RoundDecision(RoundAction.TRUNCATE, 0)
+    if not (r or s):
+        return 0
     if mode is RoundingMode.UP:
-        return RoundDecision(RoundAction.INCREMENT, 1)
-    if mode in (RoundingMode.DOWN, RoundingMode.TOWARD_ZERO):
-        return RoundDecision(RoundAction.TRUNCATE, -1)
-    # NearestEven
-    if r == 0:
-        return RoundDecision(RoundAction.TRUNCATE, -1)
-    if s == 1:
-        return RoundDecision(RoundAction.INCREMENT, 1)
-    if last_bit:
-        return RoundDecision(RoundAction.INCREMENT, 1)
-    return RoundDecision(RoundAction.TRUNCATE, -1)
+        return 1
+    if mode is RoundingMode.NEAREST_EVEN and r and (s or last_bit):
+        return 1
+    return -1
 
 
-def apply_increment(
-    limbs: tuple[int, ...],
-    precision: int,
-    exponent: int,
-    limb_width: int,
-    emax: int,
-) -> tuple[tuple[int, ...], int, bool]:
-    """Add one unit in the last place (weight 2**-p) to a p-bit mantissa.
+def round_magnitude(magnitude: int, precision: int, mode: RoundingMode) -> tuple[int, int, int]:
+    """Round a positive integer to its leading `precision` bits.
 
-    A carry out of the leading bit renormalizes to 0.100..0 with the exponent
-    incremented; `overflowed` is set iff that pushed the exponent past emax.
-    The returned exponent is reported even when out of range so the caller
-    can decide how to surface the condition.
+    Returns (mantissa, exponent_carry, ternary): `mantissa` has exactly
+    `precision` bits, and `exponent_carry` is 1 when the increment carried
+    out of the leading bit and the mantissa was renormalized to 0.100..0.
+    A magnitude of at most `precision` bits is padded with zeros, exactly.
     """
-    w = limb_width
-    mask = (1 << w) - 1
-    out = list(limbs)
-    carry = 1 << (w - 1 - (precision - 1) % w)
-    j = len(out) - 1
-    while j >= 0 and carry:
-        total = out[j] + carry
-        out[j] = total & mask
-        carry = total >> w
-        j -= 1
-    if carry:
-        # 0.11..1 + ulp wrapped all the way around.
-        out[0] = 1 << (w - 1)
-        exponent += 1
-    return tuple(out), exponent, exponent > emax
+    drop = magnitude.bit_length() - precision
+    if drop <= 0:
+        return magnitude << -drop, 0, 0
+    mantissa = magnitude >> drop
+    r = (magnitude >> (drop - 1)) & 1
+    s = int(bool(magnitude & ((1 << (drop - 1)) - 1)))
+    ternary = decide_round(mode, r, s, mantissa & 1)
+    if ternary == 1:
+        mantissa += 1
+        if mantissa >> precision:
+            return mantissa >> 1, 1, ternary
+    return mantissa, 0, ternary
 
 
 def round_to_prec(
@@ -127,28 +95,16 @@ def round_to_prec(
 ) -> tuple[Float, int] | Overflow:
     """Round a positive value to a (usually smaller) precision.
 
-    Widening or equal precision pads with zeros and is always exact.
+    Widening or equal precision pads with zeros, is always exact and keeps
+    x's exponent without checking it against ctx.emax.
     """
     if x.sign < 0:
         raise ValueError("round_to_prec handles positive values only")
     ctx.check_precision(precision)
     w = x.limb_width
-    if precision >= x.precision:
-        shifted = x.mantissa_int() << (limb_count(precision, w) - len(x.limbs)) * w
-        return Float(x.sign, x.exponent, precision, limbs_from_int(shifted, limb_count(precision, w) * w, w), w), 0
-
     full = x.mantissa_int() >> (len(x.limbs) * w - x.precision)  # exactly x.precision bits
-    drop = x.precision - precision
-    kept = full >> drop
-    r = (full >> (drop - 1)) & 1
-    s = int(bool(full & ((1 << (drop - 1)) - 1)))
-    decision = decide_round(mode, RoundSticky(r, s), kept & 1)
-
-    exponent = x.exponent
-    total = limb_count(precision, w) * w
-    limbs = limbs_from_int(kept << (total - precision), total, w)
-    if decision.action is RoundAction.INCREMENT:
-        limbs, exponent, _ = apply_increment(limbs, precision, exponent, w, ctx.emax)
-    if exponent > ctx.emax:
-        return Overflow(mode, x.sign, decision.ternary)
-    return Float(x.sign, exponent, precision, limbs, w), decision.ternary
+    mantissa, carry, ternary = round_magnitude(full, precision, mode)
+    exponent = x.exponent + carry
+    if precision < x.precision and exponent > ctx.emax:
+        return Overflow(mode, x.sign, ternary)
+    return float_from_mantissa(x.sign, exponent, precision, mantissa, w), ternary

@@ -55,7 +55,11 @@ def parse_float(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float:
     if match is None:
         raise ParseError(f"not a binary float token: {token!r}")
     bits = match.group("bits")
-    exponent = int(match.group("exp") or 0)
+    digits = match.group("exp") or "0"
+    try:
+        exponent = int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"exponent has too many digits ({len(digits)})") from None
     return make_float(1, exponent, len(bits), bits, ctx=ctx)
 
 

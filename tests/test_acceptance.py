@@ -17,17 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from xadd import (
-    ErrorClass,
     Float,
     Overflow,
-    RoundAction,
     RoundingMode,
-    RoundSticky,
     add_positive,
-    classify_error,
-    combine_rfe,
-    compute_main_term,
-    decide_round,
     exact_add,
     exact_add_round,
     make_float,
@@ -35,8 +28,9 @@ from xadd import (
 )
 from xadd.cli import _random_case, main as cli_main
 from xadd.core import DEFAULT_CONTEXT
-from xadd.engine import Alignment, _ordered
+from xadd.engine import ErrorClass, _ordered, classify_error, combine_rfe, compute_main_term
 from xadd.oracle import ExactSum
+from xadd.rounding import decide_round
 from xadd.textio import parse_fixture_line
 
 DOWN = RoundingMode.DOWN
@@ -142,7 +136,8 @@ def check_invariants(outs: dict[RoundingMode, object], exact: ExactSum, p: int) 
 def test_01_decision_table() -> None:
     # Expected behaviour rebuilt from interval semantics: (r, s) locates the
     # discarded remainder rem within [0, 1) ulps, and each mode picks the
-    # truncated or incremented candidate from rem's position alone.
+    # truncated (ternary -1, or 0 when exact) or incremented (+1) candidate
+    # from rem's position alone.
     t0 = time.perf_counter()
     remainders = {
         (0, 0): Fraction(0),
@@ -156,21 +151,20 @@ def test_01_decision_table() -> None:
         for (r, s), rem in remainders.items():
             for last_bit in (0, 1):
                 if rem == 0:
-                    want = (RoundAction.TRUNCATE, 0)
+                    want = 0
                 elif mode in (DOWN, ZERO):
-                    want = (RoundAction.TRUNCATE, -1)
+                    want = -1
                 elif mode is UP:
-                    want = (RoundAction.INCREMENT, 1)
+                    want = 1
                 elif rem < half:
-                    want = (RoundAction.TRUNCATE, -1)
+                    want = -1
                 elif rem > half:
-                    want = (RoundAction.INCREMENT, 1)
+                    want = 1
                 elif last_bit == 0:
-                    want = (RoundAction.TRUNCATE, -1)
+                    want = -1
                 else:
-                    want = (RoundAction.INCREMENT, 1)
-                got = decide_round(mode, RoundSticky(r, s), last_bit)
-                if (got.action, got.ternary) != want:
+                    want = 1
+                if decide_round(mode, r, s, last_bit) != want:
                     wrong.append((mode.value, r, s, last_bit))
     dt = time.perf_counter() - t0
     detail = f"32 cells, {dt * 1000:.0f} ms"
@@ -212,17 +206,16 @@ def test_02_combine_table_end_to_end() -> None:
     bad = []
     rows_hit = set()
     for rb, fb, cls, (er, es, ecarry), x_bits, y_bits, d, per_mode in COMBINE_WITNESSES:
-        rs, carry = combine_rfe(rb, fb, cls)
-        if rs != RoundSticky(er, es) or carry is not ecarry:
-            bad.append(f"combine({rb},{fb},{cls.name}) gave {rs} carry={carry}")
+        combined = combine_rfe(rb, fb, cls)
+        if combined != (er, es, ecarry):
+            bad.append(f"combine({rb},{fb},{cls.name}) gave {combined}")
             continue
 
         x = bits_at(0, x_bits)
         y = bits_at(-d, y_bits)
         a, b = _ordered(x, y)
-        align = Alignment.for_difference(a.exponent - b.exponent, a.limb_width)
-        term = compute_main_term(a, b, p, align)
-        seen_cls, _ = classify_error(a, b, align, term.fb, p + 3, term.shifted_out)
+        term = compute_main_term(a, b, p, d)
+        seen_cls, _ = classify_error(a, b, d, term.fb, p + 3, term.shifted_out)
         if (term.rb, term.fb, seen_cls) != (rb, fb, cls):
             bad.append(
                 f"witness for ({rb},{fb},{cls.name}) lands on "

@@ -1,5 +1,7 @@
 """End-to-end addition: frozen cases, engine vs oracle vs rational reference."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from xadd import (
     DEFAULT_CONTEXT,
+    DEFAULT_MAX_PRECISION,
     Context,
     Overflow,
     RoundingMode,
     add_positive,
     exact_add_round,
     make_float,
+    make_float_from_int,
     parse_float,
 )
 
@@ -224,3 +228,20 @@ def test_directed_modes_sandwich_the_exact_sum(m, n, d, p, data):
     up = add_positive(x, y, p, U).result.as_fraction()
     assert down <= exact <= up
     assert up - down <= Fraction(2) ** (exact.numerator.bit_length() - exact.denominator.bit_length() + 1 - p)
+
+
+def test_precision_cap_in_near_linear_time():
+    # Operands at the default precision cap, summed at half of it: the limb
+    # conversions, the window and the oracle must all stay near-linear, as
+    # one quadratic step at this size takes minutes.
+    rng = random.Random(24)
+    m = DEFAULT_MAX_PRECISION
+    top = 1 << (m - 1)
+    t0 = time.perf_counter()
+    x = make_float_from_int(1, 0, m, top | rng.getrandbits(m - 1))
+    y = make_float_from_int(1, -3, m, top | rng.getrandbits(m - 1))
+    for mode in ALL_MODES:
+        got = add_positive(x, y, m // 2, mode)
+        want = exact_add_round(x, y, m // 2, mode)
+        assert (got.result, got.ternary) == (want.result, want.ternary)
+    assert time.perf_counter() - t0 < 20.0

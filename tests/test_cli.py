@@ -47,6 +47,16 @@ def test_add_bad_token_fails(capsys):
     assert out == "" and "0.x" in err
 
 
+# An exponent longer than int() converts from decimal by default (4300 digits).
+LONG_EXPONENT_TOKEN = "0.11e" + "9" * 5000
+
+
+def test_add_overlong_exponent_is_input_error(capsys):
+    code, out, err = run(capsys, "add", "-p", "4", LONG_EXPONENT_TOKEN, "0.1e0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("token", ["nan", "inf(+)", "inf(-)", "overflow(+)"])
 def test_add_rejects_non_addend_specials(capsys, token):
     code, _, err = run(capsys, "add", "-p", "2", token, "0.10")
@@ -169,6 +179,14 @@ def test_check_malformed_line_is_input_error(tmp_path, capsys):
     bad.write_text("0.10 0.10 2 down 0.10e1 0\n")
     code, _, err = run(capsys, "check", str(bad))
     assert code == 1 and "line 1" in err
+
+
+def test_check_overlong_exponent_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "long.txt"
+    bad.write_text(f"{LONG_EXPONENT_TOKEN} 0.1e0 4 nearest -> 0.1e0 0\n")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert err.startswith("error: line 1") and "Traceback" not in err
 
 
 def test_check_missing_file(capsys):

@@ -12,36 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xadd import (
-    Alignment,
-    ErrorClass,
-    InvalidCombination,
-    RoundSticky,
-    classify_error,
-    combine_rfe,
-    compute_main_term,
-    make_float,
-)
+from xadd import make_float
+from xadd.engine import ErrorClass, InvalidCombination, classify_error, combine_rfe, compute_main_term
 
 from .helpers import pow2
 
 
 def align_for(x, y):
-    return Alignment.for_difference(x.exponent - y.exponent, x.limb_width)
-
-
-def limb_bits(limbs, precision, width=64):
-    acc = 0
-    for limb in limbs:
-        acc = (acc << width) | limb
-    return format(acc, f"0{len(limbs) * width}b")[:precision]
-
-
-def test_alignment_splits_difference():
-    a = Alignment.for_difference(130, 64)
-    assert (a.d, a.limb_shift, a.bit_shift) == (130, 2, 2)
-    with pytest.raises(ValueError):
-        Alignment.for_difference(-1, 64)
+    return x.exponent - y.exponent
 
 
 # --- compute_main_term ----------------------------------------------------
@@ -53,7 +31,7 @@ def test_window_carry_displaces_low_bit():
     x = make_float(1, 0, 4, "1010")
     y = make_float(1, 0, 4, "1001")
     t = compute_main_term(x, y, 2, align_for(x, y))
-    assert limb_bits(t.mantissa, 2) == "10"
+    assert format(t.mantissa, "02b") == "10"
     assert (t.rb, t.fb) == (0, 1)
     assert t.carried and t.shifted_out == 1
     assert t.exponent == 1
@@ -63,7 +41,7 @@ def test_window_with_y_fully_below():
     x = make_float(1, 0, 2, "11")
     y = make_float(1, -10, 2, "11")
     t = compute_main_term(x, y, 2, align_for(x, y))
-    assert limb_bits(t.mantissa, 2) == "11"
+    assert format(t.mantissa, "02b") == "11"
     assert (t.rb, t.fb) == (0, 0)
     assert not t.carried and t.shifted_out is None
     assert t.exponent == 0
@@ -73,7 +51,7 @@ def test_window_with_y_fully_below():
 def test_window_carry_with_exact_tail():
     x = make_float(1, 0, 4, "1111")
     t = compute_main_term(x, x, 4, align_for(x, x))
-    assert limb_bits(t.mantissa, 4) == "1111"
+    assert format(t.mantissa, "04b") == "1111"
     assert (t.rb, t.fb) == (0, 0)
     assert t.carried and t.shifted_out == 0
     assert t.exponent == 1
@@ -86,7 +64,7 @@ def test_window_spanning_limbs():
     y = make_float(1, -65, 2, "11")
     t = compute_main_term(x, y, 64, align_for(x, y))
     assert (t.rb, t.fb) == (0, 1)
-    assert limb_bits(t.mantissa, 64) == "1" + "0" * 63
+    assert format(t.mantissa, "064b") == "1" + "0" * 63
     assert t.x_limbs_read == 2 and t.y_limbs_read == 1
 
 
@@ -211,6 +189,29 @@ def reference_window(xbits: str, ybits: str, d: int, p: int):
     return wbits[:p], int(wbits[p]), int(wbits[p + 1]), carried, shifted_out, exponent, cls
 
 
+def test_window_two_whole_limbs_plus_two_bits_below():
+    # d = 130 at w = 64 splits into two whole limbs and two bits: y's first
+    # window limb straddles x's limb seam, and only y's leading limb reaches
+    # the p + 2 = 192-bit window.
+    xbits = "1" + "01" * 99 + "1"
+    ybits = "11" + "0" * 60 + "1" * 38
+    x = make_float(1, 0, len(xbits), xbits)
+    y = make_float(1, -130, len(ybits), ybits)
+    t = compute_main_term(x, y, 190, 130)
+    mant, rb, fb, carried, shifted_out, exponent, cls = reference_window(xbits, ybits, 130, 190)
+    assert format(t.mantissa, "0190b") == mant
+    assert (t.rb, t.fb, t.carried, t.shifted_out, t.exponent) == (
+        rb,
+        fb,
+        carried,
+        shifted_out,
+        exponent,
+    )
+    assert (t.x_limbs_read, t.y_limbs_read) == (3, 1)
+    got_cls, _ = classify_error(x, y, 130, t.fb, 193, t.shifted_out)
+    assert got_cls is cls
+
+
 @settings(max_examples=400)
 @given(
     m=st.integers(2, 150),
@@ -228,7 +229,7 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
     align = align_for(x, y)
     t = compute_main_term(x, y, p, align)
     mant, rb, fb, carried, shifted_out, exponent, cls = reference_window(xbits, ybits, d, p)
-    assert limb_bits(t.mantissa, p) == mant
+    assert format(t.mantissa, f"0{p}b") == mant
     assert (t.rb, t.fb, t.carried, t.shifted_out, t.exponent) == (
         rb,
         fb,
@@ -266,7 +267,7 @@ COMBINE_ROWS = [
 
 @pytest.mark.parametrize("rb,fb,cls,r,s,carry", COMBINE_ROWS)
 def test_combine_rows(rb, fb, cls, r, s, carry):
-    assert combine_rfe(rb, fb, cls) == (RoundSticky(r, s), carry)
+    assert combine_rfe(rb, fb, cls) == (r, s, carry)
 
 
 @pytest.mark.parametrize(

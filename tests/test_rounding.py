@@ -1,24 +1,14 @@
-"""Rounding decisions, mantissa increment, single-value precision change."""
+"""Rounding decisions, integer rounding with carry, single-value precision change."""
 
+from enum import Enum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xadd import (
-    DEFAULT_CONTEXT,
-    Context,
-    Overflow,
-    RoundAction,
-    RoundDecision,
-    RoundingMode,
-    RoundSticky,
-    apply_increment,
-    decide_round,
-    make_float,
-    round_to_prec,
-)
+from xadd import DEFAULT_CONTEXT, Context, Overflow, RoundingMode, make_float, round_to_prec
+from xadd.rounding import decide_round, round_magnitude
 
 from .helpers import frac_round
 
@@ -28,6 +18,15 @@ D, U, Z, N = (
     RoundingMode.TOWARD_ZERO,
     RoundingMode.NEAREST_EVEN,
 )
+
+
+class RoundAction(Enum):
+    """The table's action column: increment exactly when the ternary is +1."""
+
+    TRUNCATE = "truncate"
+    INCREMENT = "increment"
+
+
 TRUNC, INC = RoundAction.TRUNCATE, RoundAction.INCREMENT
 
 # All 32 cells: mode, r, s, last kept bit -> action, ternary.  Directed
@@ -70,7 +69,8 @@ DECISION_TABLE = [
 
 @pytest.mark.parametrize("mode,r,s,last_bit,action,ternary", DECISION_TABLE)
 def test_decide_round_table(mode, r, s, last_bit, action, ternary):
-    assert decide_round(mode, RoundSticky(r, s), last_bit) == RoundDecision(action, ternary)
+    assert decide_round(mode, r, s, last_bit) == ternary
+    assert (action == INC) == (ternary == 1)
 
 
 def test_decide_round_exact_iff_both_bits_clear():
@@ -78,43 +78,36 @@ def test_decide_round_exact_iff_both_bits_clear():
         assert (ternary == 0) == (r == 0 and s == 0)
 
 
-def bits_of(limbs, precision, width=64):
-    acc = 0
-    for limb in limbs:
-        acc = (acc << width) | limb
-    return format(acc, f"0{len(limbs) * width}b")[:precision]
+def test_round_magnitude_simple_increment():
+    assert round_magnitude(0b10101, 4, RoundingMode.UP) == (0b1011, 0, 1)
 
 
-def test_apply_increment_simple():
-    x = make_float(1, 0, 4, "1010")
-    limbs, exponent, overflowed = apply_increment(x.limbs, 4, 0, 64, DEFAULT_CONTEXT.emax)
-    assert bits_of(limbs, 4) == "1011" and exponent == 0 and not overflowed
+def test_round_magnitude_full_carry_renormalizes():
+    assert round_magnitude(0b11111, 4, RoundingMode.UP) == (0b1000, 1, 1)
 
 
-def test_apply_increment_full_carry_renormalizes():
-    x = make_float(1, 0, 4, "1111")
-    limbs, exponent, overflowed = apply_increment(x.limbs, 4, 0, 64, DEFAULT_CONTEXT.emax)
-    assert bits_of(limbs, 4) == "1000" and exponent == 1 and not overflowed
+def test_round_to_prec_increment_overflows_at_emax():
+    ctx = Context(emax=40)
+    x = make_float(1, 40, 3, "111", ctx=ctx)
+    assert round_to_prec(x, 2, RoundingMode.UP, ctx=ctx) == Overflow(RoundingMode.UP, 1, 1)
+    assert round_to_prec(x, 2, RoundingMode.NEAREST_EVEN, ctx=ctx) == Overflow(
+        RoundingMode.NEAREST_EVEN, 1, 1
+    )
+    assert round_to_prec(x, 2, RoundingMode.DOWN, ctx=ctx) == (make_float(1, 40, 2, "11"), -1)
 
 
-def test_apply_increment_overflow_at_emax():
-    emax = DEFAULT_CONTEXT.emax
-    x = make_float(1, emax, 2, "11")
-    limbs, exponent, overflowed = apply_increment(x.limbs, 2, emax, 64, emax)
-    assert bits_of(limbs, 2) == "10" and exponent == emax + 1 and overflowed
-
-
-def test_apply_increment_carry_crosses_limb_boundary():
+def test_round_to_prec_carry_crosses_limb_boundary():
+    # p = 33 at 32-bit limbs: the increment carries from the lone bit of the
+    # second limb into the first.
     ctx32 = Context(limb_width=32)
-    x = make_float(1, 0, 33, "1" + "0" * 31 + "1", ctx=ctx32)
-    limbs, exponent, _ = apply_increment(x.limbs, 33, 0, 32, ctx32.emax)
-    assert bits_of(limbs, 33, 32) == "1" + "0" * 30 + "10"
-    assert exponent == 0
+    x = make_float(1, 0, 34, "1" + "0" * 31 + "11", ctx=ctx32)
+    rounded, ternary = round_to_prec(x, 33, RoundingMode.UP, ctx=ctx32)
+    assert rounded.limbs == (0x80000001, 0) and rounded.exponent == 0 and ternary == 1
+    assert rounded.mantissa_bits() == "1" + "0" * 30 + "10"
 
-    y = make_float(1, 0, 33, "1" * 33, ctx=ctx32)
-    limbs, exponent, _ = apply_increment(y.limbs, 33, 0, 32, ctx32.emax)
-    assert bits_of(limbs, 33, 32) == "1" + "0" * 32
-    assert exponent == 1
+    y = make_float(1, 0, 34, "1" * 34, ctx=ctx32)
+    rounded, ternary = round_to_prec(y, 33, RoundingMode.UP, ctx=ctx32)
+    assert rounded.limbs == (0x80000000, 0) and rounded.exponent == 1 and ternary == 1
 
 
 def test_round_to_prec_identity_at_same_precision():
