@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 DEFAULT_EMIN = 1 - 2**30
@@ -199,17 +200,23 @@ def float_from_mantissa(
     return Float(sign, exponent, precision, limbs, limb_width)
 
 
+@lru_cache(maxsize=256)
+def _limb_struct(count: int, limb_width: int) -> struct.Struct:
+    # Compiled once per length: the engine converts short slices on every
+    # call, where building and looking up the format string costs more than
+    # the packing.
+    return struct.Struct(f">{count}{_LIMB_CODES[limb_width]}")
+
+
 def limbs_from_int(value: int, total_bits: int, limb_width: int) -> tuple[int, ...]:
     """Split a `total_bits`-wide integer into limbs, most significant first."""
-    count = total_bits // limb_width
     raw = value.to_bytes(total_bits // 8, "big")
-    return struct.unpack(f">{count}{_LIMB_CODES[limb_width]}", raw)
+    return _limb_struct(total_bits // limb_width, limb_width).unpack(raw)
 
 
 def int_from_limbs(limbs: tuple[int, ...], limb_width: int) -> int:
     """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer."""
-    raw = struct.pack(f">{len(limbs)}{_LIMB_CODES[limb_width]}", *limbs)
-    return int.from_bytes(raw, "big")
+    return int.from_bytes(_limb_struct(len(limbs), limb_width).pack(*limbs), "big")
 
 
 def get_bit(x: Float, i: int) -> int:

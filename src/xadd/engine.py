@@ -10,18 +10,20 @@ bit and satisfies 0 <= eps < 2u where u is fb's weight.
 The final (rounding, sticky) pair then depends only on rb, fb and how eps
 compares with 0 and u, and that comparison is decided by scanning trailing
 bits from the most significant end, stopping at the first position that
-settles it.  The scan works on whole limbs: y's bits are realigned to x's
-limb grid on the fly, and a block of positions is dismissed with one or two
-word operations.  Statistics about how much was read are reported with the
-outcome so callers can audit the short-circuit behaviour.
+settles it.  The scan joins slices of limbs into one integer per operand,
+shifts y's onto x's limb grid and tests a whole slice with one OR or XNOR;
+slices double in length from four limbs, so it takes at most about twice
+the limbs that the walk to the settling position covers.  Statistics about how much was read are reported
+with the outcome so callers can audit the short-circuit behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, int_from_limbs
+from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, get_bit, int_from_limbs
 from .rounding import Overflow, RoundingMode, decide_round
 
 
@@ -53,16 +55,20 @@ class ScanStats:
     error scan had to look at before the classification was settled;
     `q_found_at` is the position (1-based in the result's mantissa frame)
     where the fb = 1 scan found the first pair of equal bits, when it did.
+    `limbs_touched` counts the limbs actually taken from storage, the
+    highest index sliced from each operand plus one, summed: the scan takes
+    whole slices, so per operand it runs ahead of the read count by at most
+    the blocks it scanned plus a few.
     """
 
     x_limbs_read: int = 0
     y_limbs_read: int = 0
     trailing_bits_examined: int = 0
     q_found_at: int | None = None
+    limbs_touched: int = 0
 
 
-@dataclass(frozen=True)
-class MainTerm:
+class MainTerm(NamedTuple):
     """The truncated top window of the sum.
 
     `mantissa` holds the first p result bits as a p-bit int, `rb` and `fb`
@@ -87,57 +93,6 @@ class AddOutcome:
     result: Float
     ternary: int
     stats: ScanStats
-
-
-class _XReader:
-    """Raw limb access with a read high-water mark; absent limbs read as 0."""
-
-    __slots__ = ("limbs", "count")
-
-    def __init__(self, f: Float) -> None:
-        self.limbs = f.limbs
-        self.count = 0
-
-    def limb(self, j: int) -> int:
-        if j >= len(self.limbs):
-            return 0
-        if j >= self.count:
-            self.count = j + 1
-        return self.limbs[j]
-
-
-class _YReader:
-    """Serves y's limbs realigned to x's limb grid, shifting on the fly.
-
-    Block j covers positions j*W+1 .. (j+1)*W of the x frame; y's bit k sits
-    at position d + k, so a block is assembled from at most two adjacent y
-    limbs.  Reads are counted with a high-water mark; blocks fully outside
-    y's stored range cost nothing.
-    """
-
-    __slots__ = ("limbs", "w", "mask", "limb_shift", "bit_shift", "count")
-
-    def __init__(self, f: Float, d: int) -> None:
-        self.limbs = f.limbs
-        self.w = f.limb_width
-        self.mask = (1 << f.limb_width) - 1
-        self.limb_shift, self.bit_shift = divmod(d, f.limb_width)
-        self.count = 0
-
-    def _limb(self, i: int) -> int:
-        if i < 0 or i >= len(self.limbs):
-            return 0
-        if i >= self.count:
-            self.count = i + 1
-        return self.limbs[i]
-
-    def block(self, j: int) -> int:
-        shift = self.bit_shift
-        if shift == 0:
-            return self._limb(j - self.limb_shift)
-        hi = self._limb(j - self.limb_shift - 1)
-        lo = self._limb(j - self.limb_shift)
-        return ((hi << (self.w - shift)) | (lo >> shift)) & self.mask
 
 
 def compute_main_term(x: Float, y: Float, precision: int, d: int) -> MainTerm:
@@ -174,6 +129,73 @@ def compute_main_term(x: Float, y: Float, precision: int, d: int) -> MainTerm:
     )
 
 
+# Limb blocks in a scan's first slice; each further slice doubles, so a scan
+# slices at most about twice the blocks the limb-at-a-time walk visits.
+_FIRST_SLICE = 4
+
+
+def _scan(
+    x: Float, y: Float, d: int, pos: int, end: int, agree: bool, stats: ScanStats
+) -> int | None:
+    """First x-frame position in [pos, end] where x or aligned y holds a 1,
+    or with `agree` where their bits are equal (missing bits read as 0);
+    None when there is none.
+
+    Each round joins a slice of x's limb blocks, and the y limbs that reach
+    them, into one int per operand, shifts y's onto x's grid and tests the
+    whole slice with one OR or XNOR.  `stats` is charged exactly what a walk
+    one block at a time would consult up to the answer: the positions from
+    `pos` on, and the limbs of every block up to the one that settles it.
+    """
+    if pos > end:
+        return None
+    w = x.limb_width
+    xl, yl = x.limbs, y.limbs
+    ls, bs = divmod(d, w)
+    lead = ls + (bs > 0)  # block j takes y's limbs from j - lead on
+    first = j = (pos - 1) // w
+    stop = (end - 1) // w + 1
+    start, size, hit = pos, _FIRST_SLICE, None
+    while True:
+        hi = j + size if j + size < stop else stop
+        top = hi * w  # slice ints hold the bit at position top at weight 1
+        xs = xl[j:hi]
+        ya = j - lead if j > lead else 0
+        yb = hi - ls if hi > ls else 0
+        ys = yl[ya:yb]
+        xv = int_from_limbs(xs, w) << (top - (j + len(xs)) * w)
+        yv = int_from_limbs(ys, w)
+        shift = top - d - (ya + len(ys)) * w
+        yv = yv << shift if shift >= 0 else yv >> -shift
+        low = end if end < top else top
+        bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & ((1 << (low - pos + 1)) - 1)
+        if bits:
+            hit = low + 1 - bits.bit_length()
+            break
+        if low == end:
+            break
+        pos, j, size = top + 1, hi, 2 * size
+
+    # Each operand's slices run on from where the window or the previous
+    # slice stopped, so a clamped stop is a high-water mark even when its
+    # slice is empty; both stops grow with hi, so the largest sum taken is
+    # the sum of the two operands' high-water marks.
+    touched = (hi if hi < len(xl) else len(xl)) + (yb if yb < len(yl) else len(yl))
+    if touched > stats.limbs_touched:
+        stats.limbs_touched = touched
+    settled = end if hit is None else hit
+    stats.trailing_bits_examined += settled - start + 1
+    # The walk reads x's limbs first..block and y's first-lead..block-ls,
+    # each clipped to the stored range.
+    block = (settled - 1) // w
+    if first < len(xl) and block >= stats.x_limbs_read:
+        stats.x_limbs_read = block + 1 if block < len(xl) else len(xl)
+    y_last = block - ls if block - ls < len(yl) else len(yl) - 1
+    if y_last >= max(0, first - lead, stats.y_limbs_read):
+        stats.y_limbs_read = y_last + 1
+    return hit
+
+
 def classify_error(
     x: Float,
     y: Float,
@@ -198,75 +220,23 @@ def classify_error(
     either mantissa no digit 2 can form, so the scan never outlives the
     shorter operand.
     """
-    w = x.limb_width
-    mask = (1 << w) - 1
     m = x.precision
     y_end = d + y.precision
-    last = max(m, y_end)
     stats = ScanStats()
-    xr = _XReader(x)
-    yr = _YReader(y, d)
-    offset = 0 if shifted_out is None else 1  # result frame sits this far below the x frame
-
-    def scan_for_one(pos: int) -> int | None:
-        # First position >= pos where x or aligned y stores a 1 bit, None
-        # when no 1 remains.  Every walked position lies inside at least one
-        # operand: y either overlaps the window (d < p + 2) or was handled
-        # by the shortcut below, so no empty gap is ever crossed.
-        while pos <= last:
-            j = (pos - 1) // w
-            blk = xr.limb(j) | yr.block(j)
-            off = (pos - 1) % w
-            if off:
-                blk &= mask >> off
-            if blk:
-                found = j * w + (w - blk.bit_length()) + 1
-                stats.trailing_bits_examined += found - pos + 1
-                return found
-            stats.trailing_bits_examined += min((j + 1) * w, last) - pos + 1
-            pos = (j + 1) * w + 1
-        return None
-
-    def scan_for_pair(pos: int) -> tuple[int | None, int]:
-        # First position >= pos where the bits of x and aligned y agree
-        # (missing bits read as 0), together with the agreeing bit value.
-        # Bounded by the shorter operand: past either mantissa no digit can
-        # reach 2, so the term stays below u and the search may stop.
-        limit = min(m, y_end)
-        while pos <= limit:
-            j = (pos - 1) // w
-            xb = xr.limb(j)
-            z = ~(xb ^ yr.block(j)) & mask
-            off = (pos - 1) % w
-            if off:
-                z &= mask >> off
-            keep = limit - j * w
-            if keep < w:
-                z &= (mask << (w - keep)) & mask
-            if z:
-                found = j * w + (w - z.bit_length()) + 1
-                stats.trailing_bits_examined += found - pos + 1
-                return found, (xb >> (w - 1 - (found - 1) % w)) & 1
-            stats.trailing_bits_examined += min((j + 1) * w, limit) - pos + 1
-            pos = (j + 1) * w + 1
-        return None, 0
-
-    def finish(cls: ErrorClass) -> tuple[ErrorClass, ScanStats]:
-        stats.x_limbs_read = xr.count
-        stats.y_limbs_read = yr.count
-        return cls, stats
 
     if fb == 0:
         if shifted_out is not None:
             stats.trailing_bits_examined += 1
             if shifted_out:
-                return finish(ErrorClass.GT_ZERO_LT_U)
+                return ErrorClass.GT_ZERO_LT_U, stats
         elif d >= start_pos - 1:
             # y lies wholly below the consumed window; its leading 1 makes
             # the error term positive without any of its bits being read.
-            return finish(ErrorClass.GT_ZERO_LT_U)
-        hit = scan_for_one(start_pos)
-        return finish(ErrorClass.EQ_ZERO if hit is None else ErrorClass.GT_ZERO_LT_U)
+            return ErrorClass.GT_ZERO_LT_U, stats
+        # Every scanned position now lies inside at least one operand: y
+        # overlaps the window, so no empty gap between them is crossed.
+        hit = _scan(x, y, d, start_pos, max(m, y_end), False, stats)
+        return (ErrorClass.EQ_ZERO if hit is None else ErrorClass.GT_ZERO_LT_U), stats
 
     if shifted_out is not None:
         stats.trailing_bits_examined += 1
@@ -274,15 +244,15 @@ def classify_error(
             # A digit 0 ahead of every remaining input bit: nothing below
             # can close the gap up to u.
             stats.q_found_at = start_pos
-            return finish(ErrorClass.GT_ZERO_LT_U)
-    q, ones = scan_for_pair(start_pos)
+            return ErrorClass.GT_ZERO_LT_U, stats
+    q = _scan(x, y, d, start_pos, min(m, y_end), True, stats)
     if q is None:
-        return finish(ErrorClass.GT_ZERO_LT_U)
-    stats.q_found_at = q + offset
-    if not ones:
-        return finish(ErrorClass.GT_ZERO_LT_U)
-    trailing_one = scan_for_one(q + 1)
-    return finish(ErrorClass.EQ_U if trailing_one is None else ErrorClass.GT_U)
+        return ErrorClass.GT_ZERO_LT_U, stats
+    stats.q_found_at = q + (shifted_out is not None)  # into the result frame
+    if not get_bit(x, q):
+        return ErrorClass.GT_ZERO_LT_U, stats
+    trailing_one = _scan(x, y, d, q + 1, max(m, y_end), False, stats)
+    return (ErrorClass.EQ_U if trailing_one is None else ErrorClass.GT_U), stats
 
 
 # Rows: (rb, fb, error class) -> (r, s, carry into the p-bit mantissa).
@@ -370,5 +340,6 @@ def add_positive(
 
     stats.x_limbs_read = max(term.x_limbs_read, stats.x_limbs_read)
     stats.y_limbs_read = max(term.y_limbs_read, stats.y_limbs_read)
+    stats.limbs_touched = max(term.x_limbs_read + term.y_limbs_read, stats.limbs_touched)
     result = float_from_mantissa(1, exponent, precision, mantissa, a.limb_width)
     return AddOutcome(result, ternary, stats)

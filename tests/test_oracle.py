@@ -91,6 +91,7 @@ def test_exact_add_round_stats_are_empty():
     out = exact_add_round(x, x, 4, RoundingMode.DOWN)
     assert (out.stats.x_limbs_read, out.stats.y_limbs_read) == (0, 0)
     assert out.stats.trailing_bits_examined == 0
+    assert out.stats.limbs_touched == 0
 
 
 @given(
