@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, make_float_from_int
-from .engine import add_positive
+from .engine import AddOutcome, add_positive
 from .oracle import exact_add_round
 from .rounding import Overflow, RoundingMode, round_to_prec
 from .textio import (
@@ -38,26 +37,8 @@ from .textio import (
 _MODE_NAMES = [mode.value for mode in RoundingMode]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN
-    precision: int = 2
-    seed: int = 0
-    count: int = 1000
-    max_prec: int = 64
-    stats: bool = False
-
-
 class _UsageError(Exception):
     pass
-
-
-class _RoundedOnly:
-    """Adapter giving a (Float, ternary) pair the outcome attributes."""
-
-    def __init__(self, result: Float, ternary: int) -> None:
-        self.result = result
-        self.ternary = ternary
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,12 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _outcome_text(outcome) -> str:
-    if isinstance(outcome, Overflow):
-        token = format_special(SpecialValue("overflow", outcome.sign))
+def _outcome_text(result: Float | Overflow, ternary: int) -> str:
+    if isinstance(result, Overflow):
+        token = format_special(SpecialValue("overflow", result.sign))
     else:
-        token = format_float(outcome.result)
-    return f"{token} {format_ternary(outcome.ternary)}"
+        token = format_float(result)
+    return f"{token} {format_ternary(ternary)}"
+
+
+def _result_of(outcome: AddOutcome | Overflow) -> tuple[Float | Overflow, int]:
+    """The rounded value, or the Overflow itself, and the ternary."""
+    return (outcome if isinstance(outcome, Overflow) else outcome.result), outcome.ternary
 
 
 def _parse_operand(token: str, ctx: Context) -> Float | None:
@@ -85,7 +71,15 @@ def _parse_operand(token: str, ctx: Context) -> Float | None:
     raise ParseError(f"{token} is not a valid addend")
 
 
-def cmd_add(x_token: str, y_token: str | None, config: CliConfig, *, ctx: Context = DEFAULT_CONTEXT) -> int:
+def cmd_add(
+    x_token: str,
+    y_token: str | None,
+    precision: int,
+    mode: RoundingMode,
+    stats: bool,
+    *,
+    ctx: Context = DEFAULT_CONTEXT,
+) -> int:
     try:
         x = _parse_operand(x_token, ctx)
         y = _parse_operand(y_token, ctx) if y_token is not None else None
@@ -96,22 +90,21 @@ def cmd_add(x_token: str, y_token: str | None, config: CliConfig, *, ctx: Contex
             print(f"{format_special(SpecialValue('zero', 1))} {format_ternary(0)}")
             return 0
         if y is None:
-            rounded = round_to_prec(x, config.precision, config.mode, ctx=ctx)
-            bits_examined = 0
-            if not isinstance(rounded, Overflow):
-                rounded = _RoundedOnly(*rounded)
+            rounded = round_to_prec(x, precision, mode, ctx=ctx)
         else:
-            rounded = add_positive(x, y, config.precision, config.mode, ctx=ctx)
-            if not isinstance(rounded, Overflow):
-                bits_examined = rounded.stats.trailing_bits_examined
+            rounded = add_positive(x, y, precision, mode, ctx=ctx)
     except (ParseError, FloatValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    line = _outcome_text(rounded)
     if isinstance(rounded, Overflow):
-        print(line)
+        print(_outcome_text(rounded, rounded.ternary))
         return 2
-    if config.stats:
+    if y is None:
+        line, bits_examined = _outcome_text(*rounded), 0
+    else:
+        line = _outcome_text(rounded.result, rounded.ternary)
+        bits_examined = rounded.stats.trailing_bits_examined
+    if stats:
         line += f" # bits_examined={bits_examined}"
     print(line)
     return 0
@@ -185,21 +178,18 @@ def _outcomes_equal(a, b) -> bool:
     return a.result == b.result and a.ternary == b.ternary
 
 
-def cmd_verify(config: CliConfig, *, ctx: Context = DEFAULT_CONTEXT) -> int:
-    rng = random.Random(config.seed)
-    for _ in range(config.count):
-        x, y, p = _random_case(rng, config.max_prec, ctx)
+def cmd_verify(seed: int, count: int, max_prec: int, *, ctx: Context = DEFAULT_CONTEXT) -> int:
+    rng = random.Random(seed)
+    for _ in range(count):
+        x, y, p = _random_case(rng, max_prec, ctx)
         for mode in RoundingMode:
             got = add_positive(x, y, p, mode, ctx=ctx)
             want = exact_add_round(x, y, p, mode, ctx=ctx)
             if not _outcomes_equal(got, want):
-                if isinstance(want, Overflow):
-                    line = format_fixture_line(x, y, p, mode, want)
-                else:
-                    line = format_fixture_line(x, y, p, mode, want.result, want.ternary)
-                print(f"{line} # engine: {_outcome_text(got)}")
+                line = format_fixture_line(x, y, p, mode, *_result_of(want))
+                print(f"{line} # engine: {_outcome_text(*_result_of(got))}")
                 return 3
-    print(f"PASS n={config.count}")
+    print(f"PASS n={count}")
     return 0
 
 
@@ -220,7 +210,7 @@ def _matches_expected(outcome, case: FixtureCase) -> bool:
 def cmd_check(path: str, *, ctx: Context = DEFAULT_CONTEXT) -> int:
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     count = 0
@@ -239,7 +229,7 @@ def cmd_check(path: str, *, ctx: Context = DEFAULT_CONTEXT) -> int:
             print(f"ok   line {lineno}")
         else:
             mismatches += 1
-            print(f"FAIL line {lineno}: got {_outcome_text(outcome)}")
+            print(f"FAIL line {lineno}: got {_outcome_text(*_result_of(outcome))}")
     if mismatches:
         print(f"FAIL n={count} mismatches={mismatches}")
         return 3
@@ -275,10 +265,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except SystemExit as done:  # --help has printed its text
+        return done.code
 
     if args.command == "add":
-        config = CliConfig(mode=RoundingMode(args.mode), precision=args.prec, stats=args.stats)
-        return cmd_add(args.x, args.y, config)
+        return cmd_add(args.x, args.y, args.prec, RoundingMode(args.mode), args.stats)
 
     if args.command == "verify":
         if args.count < 1:
@@ -291,8 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if seed is None:
             seed = random.getrandbits(64)
             print(f"# seed={seed}")
-        config = CliConfig(seed=seed, count=args.count, max_prec=args.max_prec)
-        return cmd_verify(config)
+        return cmd_verify(seed, args.count, args.max_prec)
 
     return cmd_check(args.fixture_path)
 

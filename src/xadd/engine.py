@@ -8,13 +8,12 @@ to the result exponent.  The error term eps collects every remaining input
 bit and satisfies 0 <= eps < 2u where u is fb's weight.
 
 The final (rounding, sticky) pair then depends only on rb, fb and how eps
-compares with 0 and u, and that comparison is decided by scanning trailing
-bits from the most significant end, stopping at the first position that
-settles it.  The scan joins slices of limbs into one integer per operand,
-shifts y's onto x's limb grid and tests a whole slice with one OR or XNOR;
-slices double in length from four limbs, so it takes at most about twice
-the limbs that the walk to the settling position covers.  Statistics about how much was read are reported
-with the outcome so callers can audit the short-circuit behaviour.
+compares with 0 and u.  One pass over the trailing bits, most significant
+first, settles that; with fb = 1, equal ones only settle eps >= u and the
+pass goes on for a later 1.  It tests slices of limbs, joined into one
+integer per operand, with one XNOR or OR; slices double from four limbs, so
+it takes at most about twice the limbs that the walk to the settling
+position covers.  Statistics about how much was read come with the outcome.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, get_bit, int_from_limbs
+from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, int_from_limbs
 from .rounding import Overflow, RoundingMode, decide_round
 
 
@@ -135,27 +134,37 @@ _FIRST_SLICE = 4
 
 
 def _scan(
-    x: Float, y: Float, d: int, pos: int, end: int, agree: bool, stats: ScanStats
-) -> int | None:
-    """First x-frame position in [pos, end] where x or aligned y holds a 1,
-    or with `agree` where their bits are equal (missing bits read as 0);
-    None when there is none.
+    x: Float, y: Float, d: int, pos: int, fb: int, stats: ScanStats
+) -> tuple[ErrorClass, int | None]:
+    """Settle the error class from the trailing bits at x-frame positions
+    pos and on (missing bits read as 0); also return the first position q
+    where an fb = 1 scan found two equal bits, or None.
+
+    With fb = 0 any 1 up to the longer operand's end makes the term
+    positive.  With fb = 1 the digit sums x_i + y_(i-d) are all 1 exactly
+    while the comparison with u stays open; the first two equal bits settle
+    it, zeros below u and ones at or above, and then any 1 after q puts it
+    above.  Past the end of either mantissa no digit 2 can form, so the
+    search for equal bits stops at the shorter operand's end.
 
     Each round joins a slice of x's limb blocks, and the y limbs that reach
     them, into one int per operand, shifts y's onto x's grid and tests the
-    whole slice with one OR or XNOR.  `stats` is charged exactly what a walk
-    one block at a time would consult up to the answer: the positions from
-    `pos` on, and the limbs of every block up to the one that settles it.
+    slice with one XNOR or OR, going on with OR in the same slice after
+    equal ones.  The tested positions form one span, and `stats` is charged
+    what a walk one block at a time would consult up to the settling one.
     """
+    m, y_end = x.precision, d + y.precision
+    agree = fb == 1
+    end = min(m, y_end) if agree else max(m, y_end)
     if pos > end:
-        return None
+        return (ErrorClass.GT_ZERO_LT_U if agree else ErrorClass.EQ_ZERO), None
     w = x.limb_width
     xl, yl = x.limbs, y.limbs
     ls, bs = divmod(d, w)
     lead = ls + (bs > 0)  # block j takes y's limbs from j - lead on
     first = j = (pos - 1) // w
     stop = (end - 1) // w + 1
-    start, size, hit = pos, _FIRST_SLICE, None
+    start, size, q = pos, _FIRST_SLICE, None
     while True:
         hi = j + size if j + size < stop else stop
         top = hi * w  # slice ints hold the bit at position top at weight 1
@@ -167,33 +176,40 @@ def _scan(
         yv = int_from_limbs(ys, w)
         shift = top - d - (ya + len(ys)) * w
         yv = yv << shift if shift >= 0 else yv >> -shift
-        low = end if end < top else top
-        bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & ((1 << (low - pos + 1)) - 1)
-        if bits:
-            hit = low + 1 - bits.bit_length()
-            break
-        if low == end:
+        while True:
+            low = end if end < top else top
+            bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & ((1 << (low - pos + 1)) - 1)
+            if not bits or not agree:
+                break
+            q = low + 1 - bits.bit_length()
+            if not xv >> (top - q) & 1:
+                break
+            # Equal ones at q: test the rest of this slice for a 1; the next
+            # slice takes _FIRST_SLICE blocks again (size doubles below).
+            agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
+            stop = (end - 1) // w + 1
+        if bits or low == end:
             break
         pos, j, size = top + 1, hi, 2 * size
 
-    # Each operand's slices run on from where the window or the previous
-    # slice stopped, so a clamped stop is a high-water mark even when its
-    # slice is empty; both stops grow with hi, so the largest sum taken is
-    # the sum of the two operands' high-water marks.
-    touched = (hi if hi < len(xl) else len(xl)) + (yb if yb < len(yl) else len(yl))
-    if touched > stats.limbs_touched:
-        stats.limbs_touched = touched
-    settled = end if hit is None else hit
+    # Slices only move forward and both stops grow with hi, so the last
+    # slice's clamped stops are each operand's high-water mark.
+    stats.limbs_touched = (hi if hi < len(xl) else len(xl)) + (yb if yb < len(yl) else len(yl))
+    settled = low + 1 - bits.bit_length() if bits else end
     stats.trailing_bits_examined += settled - start + 1
     # The walk reads x's limbs first..block and y's first-lead..block-ls,
     # each clipped to the stored range.
     block = (settled - 1) // w
-    if first < len(xl) and block >= stats.x_limbs_read:
+    if first < len(xl):
         stats.x_limbs_read = block + 1 if block < len(xl) else len(xl)
     y_last = block - ls if block - ls < len(yl) else len(yl) - 1
-    if y_last >= max(0, first - lead, stats.y_limbs_read):
+    if y_last >= (first - lead if first > lead else 0):
         stats.y_limbs_read = y_last + 1
-    return hit
+    if not fb:
+        return (ErrorClass.GT_ZERO_LT_U if bits else ErrorClass.EQ_ZERO), None
+    if agree:  # equal zeros at q, or no agreeing pair at all
+        return ErrorClass.GT_ZERO_LT_U, q
+    return (ErrorClass.GT_U if bits else ErrorClass.EQ_U), q
 
 
 def classify_error(
@@ -212,47 +228,29 @@ def classify_error(
     `start_pos` in the scan order, and it shifts reported positions into the
     result's mantissa frame (one below the x frame).
 
-    With fb = 0 the scan looks for any trailing 1; with fb = 1 it walks the
-    per-position digit sums x_i + y_(i-d), which are all 1 exactly while the
-    comparison with u stays open, and is settled by the first position where
-    the two bits agree: equal zeros put the term below u, equal ones at or
-    above it, with equality iff nothing but zeros follows.  Past the end of
-    either mantissa no digit 2 can form, so the scan never outlives the
-    shorter operand.
+    Apart from a displaced bit unequal to fb and, with fb = 0, y lying
+    wholly below the window, which settle it unread, one `_scan` decides.
     """
-    m = x.precision
-    y_end = d + y.precision
     stats = ScanStats()
-
-    if fb == 0:
-        if shifted_out is not None:
-            stats.trailing_bits_examined += 1
-            if shifted_out:
-                return ErrorClass.GT_ZERO_LT_U, stats
-        elif d >= start_pos - 1:
-            # y lies wholly below the consumed window; its leading 1 makes
-            # the error term positive without any of its bits being read.
-            return ErrorClass.GT_ZERO_LT_U, stats
-        # Every scanned position now lies inside at least one operand: y
-        # overlaps the window, so no empty gap between them is crossed.
-        hit = _scan(x, y, d, start_pos, max(m, y_end), False, stats)
-        return (ErrorClass.EQ_ZERO if hit is None else ErrorClass.GT_ZERO_LT_U), stats
-
     if shifted_out is not None:
         stats.trailing_bits_examined += 1
-        if shifted_out == 0:
-            # A digit 0 ahead of every remaining input bit: nothing below
-            # can close the gap up to u.
-            stats.q_found_at = start_pos
+        if shifted_out != fb:
+            # With fb = 0 a displaced 1 makes the term positive.  With fb = 1
+            # a displaced 0 is a digit 0 ahead of every remaining input bit:
+            # nothing below can close the gap up to u.
+            if fb:
+                stats.q_found_at = start_pos
             return ErrorClass.GT_ZERO_LT_U, stats
-    q = _scan(x, y, d, start_pos, min(m, y_end), True, stats)
-    if q is None:
+    elif fb == 0 and d >= start_pos - 1:
+        # y lies wholly below the consumed window; its leading 1 makes
+        # the error term positive without any of its bits being read.
         return ErrorClass.GT_ZERO_LT_U, stats
-    stats.q_found_at = q + (shifted_out is not None)  # into the result frame
-    if not get_bit(x, q):
-        return ErrorClass.GT_ZERO_LT_U, stats
-    trailing_one = _scan(x, y, d, q + 1, max(m, y_end), False, stats)
-    return (ErrorClass.EQ_U if trailing_one is None else ErrorClass.GT_U), stats
+    # With fb = 0 every scanned position now lies inside at least one
+    # operand: y overlaps the window, so no empty gap between them is crossed.
+    error_class, q = _scan(x, y, d, start_pos, fb, stats)
+    if q is not None:
+        stats.q_found_at = q + (shifted_out is not None)  # into the result frame
+    return error_class, stats
 
 
 # Rows: (rb, fb, error class) -> (r, s, carry into the p-bit mantissa).

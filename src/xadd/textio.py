@@ -136,6 +136,7 @@ def parse_fixture_line(line: str, *, ctx: Context = DEFAULT_CONTEXT) -> FixtureC
     except ValueError:
         raise ParseError(f"not a precision: {fields[2]!r}") from None
     try:
+        ctx.check_precision(precision)
         x = parse_float(fields[0], ctx=ctx)
         y = parse_float(fields[1], ctx=ctx)
         expected = parse_token(fields[5], ctx=ctx)

@@ -1,8 +1,22 @@
 """Command-line behaviour: output format, exit codes, determinism."""
 
-import pytest
+import contextlib
+import io
+import os
+import tempfile
 
-from xadd import Overflow, RoundingMode, parse_fixture_line, parse_float, parse_ternary
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from xadd import (
+    DEFAULT_MAX_PRECISION,
+    Overflow,
+    RoundingMode,
+    parse_fixture_line,
+    parse_float,
+    parse_ternary,
+)
 from xadd.cli import main
 
 FIXTURE = "tests/fixtures/reference_sums.txt"
@@ -192,3 +206,83 @@ def test_check_overlong_exponent_is_input_error(tmp_path, capsys):
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no/such/file.txt")
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("precision", ["0", "-1", "99999999999"])
+def test_check_out_of_range_precision_is_input_error(tmp_path, capsys, precision):
+    bad = tmp_path / "prec.txt"
+    bad.write_text(f"0.11e0 0.10e0 {precision} nearest -> 0.10e0 0\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1") and "Traceback" not in err
+
+
+def test_check_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"\xff\xfe0.10 0.10 2 down -> 0.10e1 0\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# --- fuzzing: any argv or fixture file gives an exit code, never a raise ----
+
+_SPECIALS = ["nan", "inf(+)", "inf(-)", "zero(+)", "zero(-)", "overflow(+)", "overflow(-)"]
+_TOKEN = st.one_of(
+    st.text("01.e+-()", max_size=12),
+    st.builds("0.1{}e{}".format, st.text("01", max_size=8), st.integers(-(1 << 31), 1 << 31)),
+    st.sampled_from(_SPECIALS),
+    st.text(max_size=8),
+)
+# Precisions stay small enough to keep each example cheap, plus values
+# just outside the accepted range and far outside it.
+_PRECISION = st.one_of(
+    st.integers(-2, 1 << 10).map(str),
+    st.sampled_from([str(DEFAULT_MAX_PRECISION + 1), "99999999999"]),
+    st.text(max_size=4),
+)
+_MODE = st.one_of(st.sampled_from([mode.value for mode in RoundingMode]), st.text(max_size=8))
+_ADD_ARGV = st.builds(
+    lambda p, mode, stats, operands: ["add", "-p", p, "-m", mode, *stats, *operands],
+    _PRECISION,
+    _MODE,
+    st.sampled_from([[], ["--stats"]]),
+    st.lists(_TOKEN, max_size=3),
+)
+_FIXTURE_LINE = st.one_of(
+    st.builds(
+        "{} {} {} {} -> {} {}".format,
+        _TOKEN,
+        _TOKEN,
+        _PRECISION,
+        _MODE,
+        _TOKEN,
+        st.one_of(st.sampled_from(["-1", "0", "+1"]), st.text(max_size=3)),
+    ),
+    st.text(max_size=40),
+)
+_FIXTURE_FILE = st.one_of(
+    st.lists(_FIXTURE_LINE, max_size=4).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ADD_ARGV, _FIXTURE_FILE))
+@example(b"0.11e0 0.10e0 0 nearest -> 0.10e0 0\n")
+@example(b"\xff\xfe0.10 0.10 2 down -> 0.10e1 0\n")
+@example(["add", "--help"])
+def test_cli_returns_an_exit_code_for_any_input(case):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        if isinstance(case, bytes):
+            folder = stack.enter_context(tempfile.TemporaryDirectory())
+            path = os.path.join(folder, "fixture.txt")
+            with open(path, "wb") as f:
+                f.write(case)
+            code = main(["check", path])
+        else:
+            code = main(case)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -6,6 +6,9 @@ error class open for up to about 4400 bits: complement tails (the fb = 1
 pair scan), identical tails and zero tails (the trailing-one scan).  The
 digest was recorded from the limb-at-a-time scan, so any change to a
 result, a ternary or a logical count fails it.
+`test_equal_ones_switch_boundaries` pins fb = 1 cases whose first agreeing
+pair is two ones, where the scan turns into the trailing-one test: at a
+slice's end, at an operand's end, and with the trailing 1 near or far.
 """
 
 import hashlib
@@ -162,3 +165,84 @@ def test_complement_scan_runs_to_the_last_bit_at_the_precision_cap(w):
         assert got.stats.trailing_bits_examined >= m - p - 3
         assert got.stats.q_found_at is None
     assert time.perf_counter() - t0 < 20.0
+
+
+def _equal_ones_case(w: int, q: int, x_end: int, y_end: int, one_at: int | None):
+    """fb = 1 at p = 5 with y starting right below the 7-bit window: y
+    complements x from position 8 on, both hold a 1 at q (the first agreeing
+    pair), and below q both are zero but for a single 1 at `one_at`, in x
+    where x reaches it and in y otherwise.  Positions are in x's frame."""
+    rng = random.Random(q)
+    d = 7
+    xb = [1] + [rng.getrandbits(1) for _ in range(5)] + [1, 0] + [0] * (x_end - 8)
+    yb = [0] * (y_end - d)
+    yb[0] = 1
+    for i in range(9, q):
+        xb[i - 1] = rng.getrandbits(1)
+        yb[i - 1 - d] = 1 - xb[i - 1]
+    xb[q - 1] = yb[q - 1 - d] = 1
+    if one_at is not None:
+        if one_at <= x_end:
+            xb[one_at - 1] = 1
+        else:
+            yb[one_at - 1 - d] = 1
+    ctx = Context(limb_width=w)
+    x = make_float_from_int(1, 0, x_end, int("".join(map(str, xb)), 2), ctx=ctx)
+    y = make_float_from_int(1, -d, y_end - d, int("".join(map(str, yb)), 2), ctx=ctx)
+    return x, y, ctx
+
+
+def _equal_ones_cases(w: int):
+    # name -> (q, x_end, y_end, one_at); the first slice holds blocks 0..3.
+    return {
+        # q closes the first slice, so the trailing-one test starts on the next.
+        "q_ends_a_slice": (4 * w, 6 * w, 6 * w, 5 * w + 3),
+        # q is the last bit of both operands: nothing is left to test.
+        "q_ends_both": (3 * w + 5, 3 * w + 5, 3 * w + 5, None),
+        # q is y's last bit; x runs on with zeros only.
+        "q_ends_y": (2 * w + 9, 5 * w, 2 * w + 9, None),
+        # The trailing 1 sits in q's own slice.
+        "one_in_q_slice": (2 * w + 3, 5 * w, 5 * w, 2 * w + 8),
+        # The trailing 1 sits several slices past q's, in y.
+        "one_slices_later": (w + 1, 10 * w, 40 * w, 31 * w + 17),
+    }
+
+
+# Recorded from the scan that classified equal ones with a second call:
+# (mantissa bits, exponent, ternary) in nearest, then x_limbs_read,
+# y_limbs_read, trailing_bits_examined and q_found_at.
+_EQUAL_ONES_PINNED = {
+    (32, "q_ends_a_slice"): ("11101", 0, -1, 6, 6, 156, 128),
+    (32, "q_ends_both"): ("11110", 0, 0, 4, 3, 94, 101),
+    (32, "q_ends_y"): ("10011", 0, 0, 5, 3, 153, 73),
+    (32, "one_in_q_slice"): ("10011", 0, -1, 3, 3, 65, 67),
+    (32, "one_slices_later"): ("11011", 0, -1, 10, 32, 1002, 33),
+    (64, "q_ends_a_slice"): ("10001", 0, 1, 6, 6, 316, 256),
+    (64, "q_ends_both"): ("11000", 0, -1, 4, 3, 190, 197),
+    (64, "q_ends_y"): ("10001", 0, 0, 5, 3, 313, 137),
+    (64, "one_in_q_slice"): ("10100", 0, 1, 3, 3, 129, 131),
+    (64, "one_slices_later"): ("10010", 0, -1, 10, 32, 1994, 65),
+}
+
+
+@pytest.mark.parametrize("w,name", list(_EQUAL_ONES_PINNED))
+def test_equal_ones_switch_boundaries(w, name):
+    x, y, ctx = _equal_ones_case(w, *_equal_ones_cases(w)[name])
+    for a, b in ((x, y), (y, x)):
+        for mode in ALL_MODES:
+            got = add_positive(a, b, 5, mode, ctx=ctx)
+            want = exact_add_round(a, b, 5, mode, ctx=ctx)
+            assert (got.result, got.ternary) == (want.result, want.ternary)
+        out = add_positive(a, b, 5, RoundingMode.NEAREST_EVEN, ctx=ctx)
+        s = out.stats
+        assert (
+            out.result.mantissa_bits(),
+            out.result.exponent,
+            out.ternary,
+            s.x_limbs_read,
+            s.y_limbs_read,
+            s.trailing_bits_examined,
+            s.q_found_at,
+        ) == _EQUAL_ONES_PINNED[w, name]
+        read = s.x_limbs_read + s.y_limbs_read
+        assert read <= s.limbs_touched <= read + 2 * (s.trailing_bits_examined // w) + 8

@@ -166,6 +166,8 @@ def test_fixture_comments_and_blanks_skipped():
         "0.10 0.10 2 down -> 0.10e1",  # missing ternary
         "0.10 0.10 2 down -> nan 0",  # nan is not a result
         "0.10 0.01 2 down -> 0.10e1 0",  # unnormalized operand
+        "0.11e0 0.10e0 0 nearest -> 0.10e0 0",  # precision below 2
+        "0.11e0 0.10e0 99999999999 nearest -> 0.10e0 0",  # precision above the cap
     ],
 )
 def test_fixture_line_rejects_malformed(line):
