@@ -27,7 +27,7 @@ from .textio import (
     ParseError,
     SpecialValue,
     format_fixture_line,
-    format_float,
+    format_outcome,
     format_special,
     format_ternary,
     parse_fixture_line,
@@ -46,14 +46,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default SystemExit(2).
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _outcome_text(result: Float | Overflow, ternary: int) -> str:
-    if isinstance(result, Overflow):
-        token = format_special(SpecialValue("overflow", result.sign))
-    else:
-        token = format_float(result)
-    return f"{token} {format_ternary(ternary)}"
 
 
 def _result_of(outcome: AddOutcome | Overflow) -> tuple[Float | Overflow, int]:
@@ -97,12 +89,12 @@ def cmd_add(
         print(f"error: {err}", file=sys.stderr)
         return 1
     if isinstance(rounded, Overflow):
-        print(_outcome_text(rounded, rounded.ternary))
+        print(format_outcome(rounded, rounded.ternary))
         return 2
     if y is None:
-        line, bits_examined = _outcome_text(*rounded), 0
+        line, bits_examined = format_outcome(*rounded), 0
     else:
-        line = _outcome_text(rounded.result, rounded.ternary)
+        line = format_outcome(rounded.result, rounded.ternary)
         bits_examined = rounded.stats.trailing_bits_examined
     if stats:
         line += f" # bits_examined={bits_examined}"
@@ -172,12 +164,6 @@ def _random_case(rng: random.Random, max_prec: int, ctx: Context) -> tuple[Float
     return x, y, p
 
 
-def _outcomes_equal(a, b) -> bool:
-    if isinstance(a, Overflow) or isinstance(b, Overflow):
-        return a == b
-    return a.result == b.result and a.ternary == b.ternary
-
-
 def cmd_verify(seed: int, count: int, max_prec: int, *, ctx: Context = DEFAULT_CONTEXT) -> int:
     rng = random.Random(seed)
     for _ in range(count):
@@ -185,26 +171,19 @@ def cmd_verify(seed: int, count: int, max_prec: int, *, ctx: Context = DEFAULT_C
         for mode in RoundingMode:
             got = add_positive(x, y, p, mode, ctx=ctx)
             want = exact_add_round(x, y, p, mode, ctx=ctx)
-            if not _outcomes_equal(got, want):
+            if _result_of(got) != _result_of(want):
                 line = format_fixture_line(x, y, p, mode, *_result_of(want))
-                print(f"{line} # engine: {_outcome_text(*_result_of(got))}")
+                print(f"{line} # engine: {format_outcome(*_result_of(got))}")
                 return 3
     print(f"PASS n={count}")
     return 0
 
 
-def _matches_expected(outcome, case: FixtureCase) -> bool:
-    if isinstance(outcome, Overflow):
-        return (
-            isinstance(case.expected, SpecialValue)
-            and case.expected.sign == outcome.sign
-            and case.ternary == outcome.ternary
-        )
-    return (
-        isinstance(case.expected, Float)
-        and outcome.result == case.expected
-        and outcome.ternary == case.ternary
-    )
+def _matches_expected(outcome: AddOutcome | Overflow, case: FixtureCase) -> bool:
+    value, ternary = _result_of(outcome)
+    if isinstance(value, Overflow):
+        value = SpecialValue("overflow", value.sign)
+    return (value, ternary) == (case.expected, case.ternary)
 
 
 def cmd_check(path: str, *, ctx: Context = DEFAULT_CONTEXT) -> int:
@@ -229,7 +208,7 @@ def cmd_check(path: str, *, ctx: Context = DEFAULT_CONTEXT) -> int:
             print(f"ok   line {lineno}")
         else:
             mismatches += 1
-            print(f"FAIL line {lineno}: got {_outcome_text(*_result_of(outcome))}")
+            print(f"FAIL line {lineno}: got {format_outcome(*_result_of(outcome))}")
     if mismatches:
         print(f"FAIL n={count} mismatches={mismatches}")
         return 3

@@ -8,12 +8,12 @@ to the result exponent.  The error term eps collects every remaining input
 bit and satisfies 0 <= eps < 2u where u is fb's weight.
 
 The final (rounding, sticky) pair then depends only on rb, fb and how eps
-compares with 0 and u.  One pass over the trailing bits, most significant
-first, settles that; with fb = 1, equal ones only settle eps >= u and the
-pass goes on for a later 1.  It tests slices of limbs, joined into one
-integer per operand, with one XNOR or OR; slices double from four limbs, so
-it takes at most about twice the limbs that the walk to the settling
-position covers.  Statistics about how much was read come with the outcome.
+compares with 0 and u.  `classify_error` settles that in one pass over the
+trailing bits, most significant first; with fb = 1, equal ones only settle
+eps >= u and the pass goes on for a later 1.  It tests slices of limbs,
+joined into one integer per operand, with one XNOR or OR; slices double from
+four limbs, so it takes at most about twice the limbs that the walk to the
+settling position covers, and it counts what it read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, int_from_limbs
-from .rounding import Overflow, RoundingMode, decide_round
+from .rounding import Overflow, RoundingMode, check_mode, decide_round
 
 
 class InvalidCombination(Exception):
@@ -133,85 +133,6 @@ def compute_main_term(x: Float, y: Float, precision: int, d: int) -> MainTerm:
 _FIRST_SLICE = 4
 
 
-def _scan(
-    x: Float, y: Float, d: int, pos: int, fb: int, stats: ScanStats
-) -> tuple[ErrorClass, int | None]:
-    """Settle the error class from the trailing bits at x-frame positions
-    pos and on (missing bits read as 0); also return the first position q
-    where an fb = 1 scan found two equal bits, or None.
-
-    With fb = 0 any 1 up to the longer operand's end makes the term
-    positive.  With fb = 1 the digit sums x_i + y_(i-d) are all 1 exactly
-    while the comparison with u stays open; the first two equal bits settle
-    it, zeros below u and ones at or above, and then any 1 after q puts it
-    above.  Past the end of either mantissa no digit 2 can form, so the
-    search for equal bits stops at the shorter operand's end.
-
-    Each round joins a slice of x's limb blocks, and the y limbs that reach
-    them, into one int per operand, shifts y's onto x's grid and tests the
-    slice with one XNOR or OR, going on with OR in the same slice after
-    equal ones.  The tested positions form one span, and `stats` is charged
-    what a walk one block at a time would consult up to the settling one.
-    """
-    m, y_end = x.precision, d + y.precision
-    agree = fb == 1
-    end = min(m, y_end) if agree else max(m, y_end)
-    if pos > end:
-        return (ErrorClass.GT_ZERO_LT_U if agree else ErrorClass.EQ_ZERO), None
-    w = x.limb_width
-    xl, yl = x.limbs, y.limbs
-    ls, bs = divmod(d, w)
-    lead = ls + (bs > 0)  # block j takes y's limbs from j - lead on
-    first = j = (pos - 1) // w
-    stop = (end - 1) // w + 1
-    start, size, q = pos, _FIRST_SLICE, None
-    while True:
-        hi = j + size if j + size < stop else stop
-        top = hi * w  # slice ints hold the bit at position top at weight 1
-        xs = xl[j:hi]
-        ya = j - lead if j > lead else 0
-        yb = hi - ls if hi > ls else 0
-        ys = yl[ya:yb]
-        xv = int_from_limbs(xs, w) << (top - (j + len(xs)) * w)
-        yv = int_from_limbs(ys, w)
-        shift = top - d - (ya + len(ys)) * w
-        yv = yv << shift if shift >= 0 else yv >> -shift
-        while True:
-            low = end if end < top else top
-            bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & ((1 << (low - pos + 1)) - 1)
-            if not bits or not agree:
-                break
-            q = low + 1 - bits.bit_length()
-            if not xv >> (top - q) & 1:
-                break
-            # Equal ones at q: test the rest of this slice for a 1; the next
-            # slice takes _FIRST_SLICE blocks again (size doubles below).
-            agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
-            stop = (end - 1) // w + 1
-        if bits or low == end:
-            break
-        pos, j, size = top + 1, hi, 2 * size
-
-    # Slices only move forward and both stops grow with hi, so the last
-    # slice's clamped stops are each operand's high-water mark.
-    stats.limbs_touched = (hi if hi < len(xl) else len(xl)) + (yb if yb < len(yl) else len(yl))
-    settled = low + 1 - bits.bit_length() if bits else end
-    stats.trailing_bits_examined += settled - start + 1
-    # The walk reads x's limbs first..block and y's first-lead..block-ls,
-    # each clipped to the stored range.
-    block = (settled - 1) // w
-    if first < len(xl):
-        stats.x_limbs_read = block + 1 if block < len(xl) else len(xl)
-    y_last = block - ls if block - ls < len(yl) else len(yl) - 1
-    if y_last >= (first - lead if first > lead else 0):
-        stats.y_limbs_read = y_last + 1
-    if not fb:
-        return (ErrorClass.GT_ZERO_LT_U if bits else ErrorClass.EQ_ZERO), None
-    if agree:  # equal zeros at q, or no agreeing pair at all
-        return ErrorClass.GT_ZERO_LT_U, q
-    return (ErrorClass.GT_U if bits else ErrorClass.EQ_U), q
-
-
 def classify_error(
     x: Float,
     y: Float,
@@ -220,16 +141,30 @@ def classify_error(
     start_pos: int,
     shifted_out: int | None = None,
 ) -> tuple[ErrorClass, ScanStats]:
-    """Compare the error term against 0 and the following bit's weight u.
+    """Compare the error term against 0 and the following bit's weight u,
+    and report what the comparison read.
 
     `start_pos` is the first x-frame bit position the main term did not
     consume (p + 3).  `shifted_out`, when given, is the sum bit displaced by
     the carry renormalization; its weight puts it one position before
     `start_pos` in the scan order, and it shifts reported positions into the
-    result's mantissa frame (one below the x frame).
+    result's mantissa frame (one below the x frame).  A displaced bit
+    unequal to fb settles the class unread, and so does, with fb = 0, y
+    lying wholly below the window.
 
-    Apart from a displaced bit unequal to fb and, with fb = 0, y lying
-    wholly below the window, which settle it unread, one `_scan` decides.
+    Otherwise the trailing bits from `start_pos` on settle it (missing bits
+    read as 0).  With fb = 0 any 1 up to the longer operand's end makes the
+    term positive.  With fb = 1 the digit sums x_i + y_(i-d) are all 1
+    exactly while the comparison with u stays open; the first two equal bits
+    settle it, zeros below u and ones at or above, and then any 1 after
+    them puts it above.  Past the end of either mantissa no digit 2 can
+    form, so the search for equal bits stops at the shorter operand's end.
+
+    Each round joins a slice of x's limb blocks, and the y limbs reaching
+    them, into one int per operand on x's grid and tests it with one XNOR or
+    OR, going on with OR in the same slice after equal ones.  The stats
+    charge what a walk one block at a time would consult up to the settling
+    position.
     """
     stats = ScanStats()
     if shifted_out is not None:
@@ -247,10 +182,64 @@ def classify_error(
         return ErrorClass.GT_ZERO_LT_U, stats
     # With fb = 0 every scanned position now lies inside at least one
     # operand: y overlaps the window, so no empty gap between them is crossed.
-    error_class, q = _scan(x, y, d, start_pos, fb, stats)
-    if q is not None:
-        stats.q_found_at = q + (shifted_out is not None)  # into the result frame
-    return error_class, stats
+    m, y_end = x.precision, d + y.precision
+    agree = fb == 1
+    end = min(m, y_end) if agree else max(m, y_end)
+    if start_pos > end:
+        return (ErrorClass.GT_ZERO_LT_U if agree else ErrorClass.EQ_ZERO), stats
+    w = x.limb_width
+    xl, yl = x.limbs, y.limbs
+    ls, bs = divmod(d, w)
+    lead = ls + (bs > 0)  # block j takes y's limbs from j - lead on
+    first = j = (start_pos - 1) // w
+    stop = (end - 1) // w + 1
+    pos, size = start_pos, _FIRST_SLICE
+    while True:
+        hi = j + size if j + size < stop else stop
+        top = hi * w  # slice ints hold the bit at position top at weight 1
+        xs = xl[j:hi]
+        ya = j - lead if j > lead else 0
+        yb = hi - ls if hi > ls else 0
+        ys = yl[ya:yb]
+        xv = int_from_limbs(xs, w) << (top - (j + len(xs)) * w)
+        yv = int_from_limbs(ys, w)
+        shift = top - d - (ya + len(ys)) * w
+        yv = yv << shift if shift >= 0 else yv >> -shift
+        while True:
+            low = end if end < top else top
+            bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & ((1 << (low - pos + 1)) - 1)
+            if not bits or not agree:
+                break
+            q = low + 1 - bits.bit_length()
+            stats.q_found_at = q + (shifted_out is not None)  # into the result frame
+            if not xv >> (top - q) & 1:
+                break
+            # Equal ones at q: test the rest of this slice for a 1; the next
+            # slice takes _FIRST_SLICE blocks again (size doubles below).
+            agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
+            stop = (end - 1) // w + 1
+        if bits or low == end:
+            break
+        pos, j, size = top + 1, hi, 2 * size
+
+    # Slices only move forward and both stops grow with hi, so the last
+    # slice's clamped stops are each operand's high-water mark.
+    stats.limbs_touched = (hi if hi < len(xl) else len(xl)) + (yb if yb < len(yl) else len(yl))
+    settled = low + 1 - bits.bit_length() if bits else end
+    stats.trailing_bits_examined += settled - start_pos + 1
+    # The walk reads x's limbs first..block and y's first-lead..block-ls,
+    # each clipped to the stored range.
+    block = (settled - 1) // w
+    if first < len(xl):
+        stats.x_limbs_read = block + 1 if block < len(xl) else len(xl)
+    y_last = block - ls if block - ls < len(yl) else len(yl) - 1
+    if y_last >= (first - lead if first > lead else 0):
+        stats.y_limbs_read = y_last + 1
+    if not fb:
+        return (ErrorClass.GT_ZERO_LT_U if bits else ErrorClass.EQ_ZERO), stats
+    if agree:  # equal zeros at q, or no agreeing pair at all
+        return ErrorClass.GT_ZERO_LT_U, stats
+    return (ErrorClass.GT_U if bits else ErrorClass.EQ_U), stats
 
 
 # Rows: (rb, fb, error class) -> (r, s, carry into the p-bit mantissa).
@@ -316,6 +305,7 @@ def add_positive(
     if x.limb_width != y.limb_width:
         raise ValueError("operands must share a limb width")
     ctx.check_precision(precision)
+    check_mode(mode)
 
     a, b = _ordered(x, y)
     d = a.exponent - b.exponent
@@ -324,15 +314,15 @@ def add_positive(
     r, s, carry = combine_rfe(term.rb, term.fb, error_class)
 
     mantissa, exponent = term.mantissa + carry, term.exponent
-    if mantissa >> precision:  # 0.11..1 + ulp wrapped around
-        mantissa >>= 1
-        exponent += 1
     ternary = decide_round(mode, r, s, mantissa & 1)
     if ternary == 1:
         mantissa += 1
-        if mantissa >> precision:
-            mantissa >>= 1
-            exponent += 1
+    # A wrap past 0.11..1 leaves 2**p, whose last bit is 0 as at 2**(p-1).
+    # The + 1 keeps an increment that followed a carry wrap (2**p + 1 becomes
+    # 2**(p-1) + 1); a lone wrap still halves to 2**(p-1).
+    if mantissa >> precision:
+        mantissa = (mantissa + 1) >> 1
+        exponent += 1
     if exponent > ctx.emax:
         return Overflow(mode, 1, ternary)
 

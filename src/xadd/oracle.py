@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa
 from .engine import AddOutcome, ScanStats
-from .rounding import Overflow, RoundingMode, round_magnitude
+from .rounding import Overflow, RoundingMode, check_mode, round_magnitude
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,6 @@ class ExactSum:
 
     magnitude: int
     exponent2: int
-
-    def bit_length(self) -> int:
-        return self.magnitude.bit_length()
 
     @property
     def exponent(self) -> int:
@@ -68,6 +65,7 @@ def exact_add_round(
     if x.limb_width != y.limb_width:
         raise ValueError("operands must share a limb width")
     ctx.check_precision(precision)
+    check_mode(mode)
     total = exact_add(x, y)
     mantissa, carry, ternary = round_magnitude(total.magnitude, precision, mode)
     exponent = total.exponent + carry

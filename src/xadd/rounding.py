@@ -48,6 +48,12 @@ class Overflow:
     ternary: int
 
 
+def check_mode(mode: RoundingMode) -> None:
+    """Reject a mode that is not a RoundingMode; the table would read it as Down."""
+    if not isinstance(mode, RoundingMode):
+        raise ValueError(f"not a rounding mode: {mode!r}")
+
+
 def decide_round(mode: RoundingMode, r: int, s: int, last_bit: int) -> int:
     """Apply the rounding table to a truncated positive mantissa and return
     the ternary value; the mantissa is incremented exactly when it is +1.
@@ -101,6 +107,7 @@ def round_to_prec(
     if x.sign < 0:
         raise ValueError("round_to_prec handles positive values only")
     ctx.check_precision(precision)
+    check_mode(mode)
     w = x.limb_width
     full = x.mantissa_int() >> (len(x.limbs) * w - x.precision)  # exactly x.precision bits
     mantissa, carry, ternary = round_magnitude(full, precision, mode)

@@ -95,6 +95,15 @@ def format_ternary(ternary: int) -> str:
     return {-1: "-1", 0: "0", 1: "+1"}[ternary]
 
 
+def format_outcome(result: Float | Overflow, ternary: int) -> str:
+    """A rounded value, or the overflow token for an Overflow, and the ternary."""
+    if isinstance(result, Overflow):
+        token = format_special(SpecialValue("overflow", result.sign))
+    else:
+        token = format_float(result)
+    return f"{token} {format_ternary(ternary)}"
+
+
 def parse_ternary(token: str) -> int:
     try:
         return _TERNARY[token]
@@ -159,15 +168,11 @@ def format_fixture_line(
 ) -> str:
     """Render one addition as a fixture line; an Overflow supplies its own
     ternary unless one is given explicitly."""
-    if isinstance(result, Overflow):
-        token = format_special(SpecialValue("overflow", result.sign))
-        if ternary is None:
-            ternary = result.ternary
-    else:
-        token = format_float(result)
-        if ternary is None:
+    if ternary is None:
+        if not isinstance(result, Overflow):
             raise ValueError("a finite result needs an explicit ternary")
+        ternary = result.ternary
     return (
         f"{format_float(x)} {format_float(y)} {precision} {mode.value}"
-        f" -> {token} {format_ternary(ternary)}"
+        f" -> {format_outcome(result, ternary)}"
     )

@@ -19,6 +19,7 @@ from xadd import (
     make_float,
     make_float_from_int,
     parse_float,
+    round_to_prec,
 )
 from xadd.cli import _random_case
 
@@ -127,6 +128,31 @@ def test_rejects_precision_below_two():
 
     with pytest.raises(InvalidPrecision):
         add_positive(x, x, 1, D)
+
+
+# At p = 4, 0.1011 + 0.10e-5 and 0.10111 round inexactly; 0.1011 + 0.10e-3
+# and 0.1011 are exact.
+_MODE_ENTRY_POINTS = {
+    "add_positive-inexact": lambda mode: add("0.1011", "0.10e-5", 4, mode),
+    "add_positive-exact": lambda mode: add("0.1011", "0.10e-3", 4, mode),
+    "exact_add_round-inexact": lambda mode: exact_add_round(
+        parse_float("0.1011"), parse_float("0.10e-5"), 4, mode
+    ),
+    "exact_add_round-exact": lambda mode: exact_add_round(
+        parse_float("0.1011"), parse_float("0.10e-3"), 4, mode
+    ),
+    "round_to_prec-inexact": lambda mode: round_to_prec(parse_float("0.10111"), 4, mode),
+    "round_to_prec-exact": lambda mode: round_to_prec(parse_float("0.1011"), 4, mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["up", None])
+@pytest.mark.parametrize("entry", sorted(_MODE_ENTRY_POINTS))
+def test_rejects_a_mode_that_is_not_a_rounding_mode(entry, mode):
+    # The rounding table reads anything but Up or NearestEven as Down, so an
+    # unchecked "up" would truncate silently.
+    with pytest.raises(ValueError, match="not a rounding mode"):
+        _MODE_ENTRY_POINTS[entry](mode)
 
 
 # --- overflow -------------------------------------------------------------

@@ -188,6 +188,25 @@ def test_check_detects_wrong_ternary(tmp_path, capsys):
     assert "FAIL line 1" in out and "FAIL n=1 mismatches=1" in out
 
 
+OVERFLOW_SUM = f"0.10e{2**30 - 1} 0.10e{2**30 - 1} 2 up"  # overflows at the default emax
+
+
+@pytest.mark.parametrize(
+    "recorded, code, out",
+    [
+        ("overflow(+) 0", 0, "ok   line 1\nPASS n=1\n"),
+        ("overflow(+) +1", 3, "FAIL line 1: got overflow(+) 0\nFAIL n=1 mismatches=1\n"),
+        ("overflow(-) 0", 3, "FAIL line 1: got overflow(+) 0\nFAIL n=1 mismatches=1\n"),
+        ("0.10e1 0", 3, "FAIL line 1: got overflow(+) 0\nFAIL n=1 mismatches=1\n"),
+    ],
+    ids=["overflow", "overflow-wrong-ternary", "overflow-wrong-sign", "value-line-overflows"],
+)
+def test_check_overflow_lines(tmp_path, capsys, recorded, code, out):
+    fixture = tmp_path / "overflow.txt"
+    fixture.write_text(f"{OVERFLOW_SUM} -> {recorded}\n")
+    assert run(capsys, "check", str(fixture)) == (code, out, "")
+
+
 def test_check_malformed_line_is_input_error(tmp_path, capsys):
     bad = tmp_path / "malformed.txt"
     bad.write_text("0.10 0.10 2 down 0.10e1 0\n")
