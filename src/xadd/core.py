@@ -10,10 +10,23 @@ between that storage and Python integers.
 
 Values are immutable.  Exponent range and the precision cap are not
 properties of a value but of a :class:`Context` checked at construction.
+
+Each value is validated once, by whoever builds it:
+
+- ``Float(...)`` is the validating constructor for storage given from
+  outside: it checks the sign, the precision, the exponent's type and,
+  limb by limb, that the mantissa is normalized.
+- `make_float` and `make_float_from_int` check the context (precision range
+  and cap, exponent range), the digits or the leading bit, and the sign.
+- `float_from_mantissa` is the one trusted builder of the values the
+  library computes.  It checks only the mantissa's leading bit and fills the
+  slots directly, skipping ``Float.__post_init__``, because it produces the
+  limbs itself.  Tests check its results with `mantissa_is_normalized`.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +41,9 @@ DEFAULT_MAX_PRECISION = 2**24
 # Limb width -> big-endian struct code of one limb.
 _LIMB_CODES = {32: "I", 64: "Q"}
 _LIMB_WIDTHS = tuple(_LIMB_CODES)
+# A mantissa written out: ASCII 0s and 1s only.  int(bits, 2) is no check,
+# as it also takes other Unicode digits, underscores, a sign and whitespace.
+_BITS_RE = re.compile("[01]*")
 
 
 class FloatValueError(ValueError):
@@ -72,8 +88,7 @@ class Context:
             )
 
     def check_exponent(self, exponent: int) -> None:
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            raise ExponentOutOfRange(f"exponent must be an int, got {exponent!r}")
+        _check_exponent_type(exponent)
         if not self.emin <= exponent <= self.emax:
             raise ExponentOutOfRange(
                 f"exponent {exponent} outside [{self.emin}, {self.emax}]"
@@ -81,6 +96,11 @@ class Context:
 
 
 DEFAULT_CONTEXT = Context()
+
+
+def _check_exponent_type(exponent: object) -> None:
+    if not isinstance(exponent, int) or isinstance(exponent, bool):
+        raise ExponentOutOfRange(f"exponent must be an int, got {exponent!r}")
 
 
 def limb_count(precision: int, limb_width: int) -> int:
@@ -127,6 +147,9 @@ class Float:
                 f"mantissa {self.limbs!r} is not a normalized "
                 f"{self.precision}-bit value at width {self.limb_width}"
             )
+        # The range belongs to the context; the type is checked here so that
+        # no value can carry an exponent that formats as text parse rejects.
+        _check_exponent_type(self.exponent)
 
     def mantissa_int(self) -> int:
         """The mantissa as one integer of len(limbs)*limb_width bits."""
@@ -166,7 +189,7 @@ def make_float(
         raise InvalidPrecision(
             f"got {len(bits)} mantissa bits for precision {precision}"
         )
-    if bits.strip("01"):
+    if _BITS_RE.fullmatch(bits) is None:
         raise FloatValueError(f"mantissa may contain only 0 and 1: {bits!r}")
     if bits[0] != "1":
         raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}")
@@ -184,20 +207,43 @@ def make_float_from_int(
     """Build a Float from the mantissa packed into an int of `precision` bits."""
     ctx.check_precision(precision)
     ctx.check_exponent(exponent)
-    if mantissa >> (precision - 1) != 1:
-        raise NotNormalized(
-            f"mantissa {mantissa:#x} does not have exactly {precision} bits with a leading 1"
-        )
-    return float_from_mantissa(sign, exponent, precision, mantissa, ctx.limb_width)
+    x = float_from_mantissa(sign, exponent, precision, mantissa, ctx.limb_width)
+    # Checked after the leading bit: an input with both faults raises NotNormalized.
+    if sign not in (1, -1):
+        raise FloatValueError(f"sign must be +1 or -1, got {sign!r}")
+    return x
+
+
+# Each slot's setter, looked up once.  A frozen Float refuses assignment, so
+# float_from_mantissa stores through the slot descriptors: the store that
+# object.__setattr__ makes after finding the descriptor by name, at half the cost.
+_SLOT_SETTERS = tuple(getattr(Float, name).__set__ for name in Float.__slots__)
 
 
 def float_from_mantissa(
     sign: int, exponent: int, precision: int, mantissa: int, limb_width: int
 ) -> Float:
-    """A Float from a `precision`-bit mantissa int, without context checks."""
+    """The trusted builder: a Float from a `precision`-bit mantissa int.
+
+    Raises NotNormalized unless the mantissa has exactly `precision` bits
+    with a leading 1, and checks nothing else.  The limbs are then normalized
+    by construction, so ``Float.__post_init__`` is skipped: pass only values
+    the library computed, never input from outside.
+    """
+    if mantissa >> (precision - 1) != 1:
+        raise NotNormalized(
+            f"mantissa {mantissa:#x} does not have exactly {precision} bits with a leading 1"
+        )
     total = limb_count(precision, limb_width) * limb_width
     limbs = limbs_from_int(mantissa << (total - precision), total, limb_width)
-    return Float(sign, exponent, precision, limbs, limb_width)
+    x = object.__new__(Float)
+    set_sign, set_exponent, set_precision, set_limbs, set_width = _SLOT_SETTERS
+    set_sign(x, sign)
+    set_exponent(x, exponent)
+    set_precision(x, precision)
+    set_limbs(x, limbs)
+    set_width(x, limb_width)
+    return x
 
 
 @lru_cache(maxsize=256)

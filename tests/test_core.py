@@ -46,8 +46,27 @@ def test_make_float_rejects_bit_count_mismatch():
 
 
 def test_make_float_rejects_bad_characters():
-    with pytest.raises(FloatValueError):
-        make_float(1, 0, 2, "1x")
+    # int(bits, 2) takes all but "1x": a non-ASCII digit, an underscore, a
+    # sign and surrounding whitespace.
+    for bits in ("1x", "1\u0661", "1_", "+1", "1 ", "1\n"):
+        with pytest.raises(FloatValueError):
+            make_float(1, 0, 2, bits)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_public_builders_reject_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(FloatValueError, match="sign must be"):
+        make_float(sign, 0, 2, "10")
+    with pytest.raises(FloatValueError, match="sign must be"):
+        make_float_from_int(sign, 0, 2, 0b10)
+    assert make_float(-1, 0, 2, "10") == make_float_from_int(-1, 0, 2, 0b10)
+
+
+@pytest.mark.parametrize("exponent", [2.5, 2.0, True, "2", None])
+def test_float_rejects_an_exponent_that_is_not_an_int(exponent):
+    # A float exponent would format as 0.10e2.5, which does not parse back.
+    with pytest.raises(ExponentOutOfRange, match="exponent must be an int"):
+        Float(1, exponent, 2, (1 << 63,), 64)
 
 
 def test_exponent_bounds_checked():

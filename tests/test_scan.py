@@ -25,8 +25,10 @@ from xadd import (
     add_positive,
     exact_add_round,
     make_float_from_int,
+    round_to_prec,
 )
-from xadd.cli import _random_case
+from xadd.cli import _random_case, _random_exponent, _random_mantissa
+from xadd.core import mantissa_is_normalized
 
 ALL_MODES = list(RoundingMode)
 GOLDEN_DIGEST = "4ee41fe4f9ba97e00198a6c5baecc41210492b78d540aee16413373ca09d9e28"
@@ -111,6 +113,33 @@ def test_scan_outcomes_match_golden_digest():
         for a, b in ((x, y), (y, x)):
             h.update(repr(_outcome_key(add_positive(a, b, p, mode, ctx=ctx))).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def _assert_well_formed(x, precision: int) -> None:
+    assert (x.precision, x.sign) == (precision, 1)
+    assert mantissa_is_normalized(x.limbs, precision, x.limb_width)
+
+
+def test_results_are_normalized_without_the_constructor_check():
+    # float_from_mantissa skips Float's per-limb validation on the hot path;
+    # this holds its results to the same invariant.
+    for x, y, p, mode, ctx in _golden_cases():
+        for a, b in ((x, y), (y, x)):
+            for add in (add_positive, exact_add_round):
+                out = add(a, b, p, mode, ctx=ctx)
+                if not isinstance(out, Overflow):
+                    _assert_well_formed(out.result, p)
+    for w in (32, 64):
+        for ctx in (Context(limb_width=w), Context(limb_width=w, emax=40)):
+            rng = random.Random(7 * w + ctx.emax % 7)
+            for _ in range(1000):
+                m = rng.randint(2, 5 * w)
+                e = min(_random_exponent(rng, ctx), ctx.emax)
+                x = make_float_from_int(1, e, m, _random_mantissa(rng, m), ctx=ctx)
+                p = rng.randint(2, 5 * w)
+                out = round_to_prec(x, p, rng.choice(ALL_MODES), ctx=ctx)
+                if not isinstance(out, Overflow):
+                    _assert_well_formed(out[0], p)
 
 
 def _gap_case():
