@@ -31,6 +31,7 @@ from .textio import (
     format_special,
     format_ternary,
     parse_fixture_line,
+    parse_int,
     parse_token,
 )
 
@@ -46,6 +47,13 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default SystemExit(2).
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+
+def _int_option(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ParseError:  # worded as argparse words a failed type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _result_of(outcome: AddOutcome | Overflow) -> tuple[Float | Overflow, int]:
@@ -221,16 +229,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_add = sub.add_parser("add", help="add two positive values and print result + ternary")
-    p_add.add_argument("-p", "--prec", type=int, required=True, help="target precision in bits")
+    p_add.add_argument("-p", "--prec", type=_int_option, required=True, help="target precision in bits")
     p_add.add_argument("-m", "--mode", choices=_MODE_NAMES, default="nearest")
     p_add.add_argument("--stats", action="store_true", help="append # bits_examined=N")
     p_add.add_argument("x")
     p_add.add_argument("y", nargs="?", default=None, help="second addend (omit or pass zero(+) to round x alone)")
 
     p_verify = sub.add_parser("verify", help="differential-test the engine against the oracle")
-    p_verify.add_argument("--seed", type=int, default=None, help="PRNG seed (default: random, printed)")
-    p_verify.add_argument("--count", type=int, default=1000, help="number of cases (default 1000)")
-    p_verify.add_argument("--max-prec", type=int, default=64, help="precision bound (default 64)")
+    p_verify.add_argument("--seed", type=_int_option, default=None, help="PRNG seed (default: random, printed)")
+    p_verify.add_argument("--count", type=_int_option, default=1000, help="number of cases (default 1000)")
+    p_verify.add_argument("--max-prec", type=_int_option, default=64, help="precision bound (default 64)")
 
     p_check = sub.add_parser("check", help="replay a fixture file")
     p_check.add_argument("fixture_path")

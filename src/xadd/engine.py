@@ -8,19 +8,19 @@ to the result exponent.  The error term eps collects every remaining input
 bit and satisfies 0 <= eps < 2u where u is fb's weight.
 
 The final (rounding, sticky) pair then depends only on rb, fb and how eps
-compares with 0 and u.  `classify_error` settles that in one pass over the
-trailing bits, most significant first; with fb = 1, equal ones only settle
-eps >= u and the pass goes on for a later 1.  It tests slices of limbs,
-joined into one integer per operand, with one XNOR or OR; slices double from
-four limbs, so it takes at most about twice the limbs that the walk to the
-settling position covers, and it counts what it read.
+compares with 0 and u.  `_settle` reads each operand once, most significant
+first: it joins a first slice of limbs, the window's blocks plus four more,
+into one integer per operand, cuts the window sum from the two integers and
+goes on from the same two to settle eps.  It tests slices with one XNOR or
+OR; with fb = 1, equal ones only settle eps >= u and the test goes on for a
+later 1.  Further slices double, so it takes at most about twice the limbs
+that the walk to the settling position covers, and it counts what it read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, int_from_limbs
 from .rounding import Overflow, RoundingMode, check_mode, decide_round
@@ -55,9 +55,10 @@ class ScanStats:
     `q_found_at` is the position (1-based in the result's mantissa frame)
     where the fb = 1 scan found the first pair of equal bits, when it did.
     `limbs_touched` counts the limbs actually taken from storage, the
-    highest index sliced from each operand plus one, summed: the scan takes
-    whole slices, so per operand it runs ahead of the read count by at most
-    the blocks it scanned plus a few.
+    highest index sliced from each operand plus one, summed.  The first
+    slice spans the window and four blocks past it, and later slices double,
+    so per operand it runs ahead of the read count by at most the blocks
+    scanned plus a few, even when the window alone settles the class.
     """
 
     x_limbs_read: int = 0
@@ -67,26 +68,6 @@ class ScanStats:
     limbs_touched: int = 0
 
 
-class MainTerm(NamedTuple):
-    """The truncated top window of the sum.
-
-    `mantissa` holds the first p result bits as a p-bit int, `rb` and `fb`
-    the two bits that follow.  When the window addition carried,
-    the window was shifted right by one, `exponent` is one above x's, and
-    `shifted_out` records the displaced sum bit, which now belongs to the
-    error term one position above the first untested input position.
-    """
-
-    mantissa: int
-    exponent: int
-    rb: int
-    fb: int
-    carried: bool
-    shifted_out: int | None
-    x_limbs_read: int
-    y_limbs_read: int
-
-
 @dataclass(frozen=True)
 class AddOutcome:
     result: Float
@@ -94,152 +75,145 @@ class AddOutcome:
     stats: ScanStats
 
 
-def compute_main_term(x: Float, y: Float, precision: int, d: int) -> MainTerm:
-    """Exact sum of the first p+2 bits of x and the overlapping bits of y.
-
-    x must be the operand with the larger exponent and d >= 0 the exponent
-    difference.  Only the limbs that hold window bits are read: those of x
-    covering positions 1..p+2, and those of y reaching them after the shift
-    by d.  A carry out of the leading bit bumps the exponent and shifts the
-    window right, displacing its lowest bit into the error term.
-    """
-    w = x.limb_width
-    window = precision + 2
-    nlimbs = -(-window // w)
-    xs = x.limbs[:nlimbs]
-    ys = y.limbs[: nlimbs - d // w] if d < window else ()
-
-    # Each slice as an integer, scaled so that its bit at window position
-    # `window` has weight 1; bits past the window fall off the right end.
-    total = 0
-    for limbs, shift in ((xs, window - len(xs) * w), (ys, window - d - len(ys) * w)):
-        value = int_from_limbs(limbs, w)
-        total += value << shift if shift >= 0 else value >> -shift
-
-    exponent = x.exponent
-    carried = total >> window != 0
-    shifted_out = None
-    if carried:
-        shifted_out = total & 1
-        total >>= 1
-        exponent += 1
-    return MainTerm(
-        total >> 2, exponent, (total >> 1) & 1, total & 1, carried, shifted_out, len(xs), len(ys)
-    )
-
-
-# Limb blocks in a scan's first slice; each further slice doubles, so a scan
-# slices at most about twice the blocks the limb-at-a-time walk visits.
+# Limb blocks past the window's last whole block in a pass's first slice;
+# each further slice doubles, so a pass slices at most about twice the blocks
+# the limb-at-a-time walk visits.
 _FIRST_SLICE = 4
 
 
-def classify_error(
-    x: Float,
-    y: Float,
-    d: int,
-    fb: int,
-    start_pos: int,
-    shifted_out: int | None = None,
-) -> tuple[ErrorClass, ScanStats]:
-    """Compare the error term against 0 and the following bit's weight u,
-    and report what the comparison read.
+def _join(xl: tuple[int, ...], yl: tuple[int, ...], w: int, d: int, j: int, hi: int) -> tuple[int, int]:
+    """x's limb blocks j..hi-1 and the y limbs reaching them, each joined into
+    one int on x's grid, with the bit at x-frame position hi * w at weight 1."""
+    top = hi * w
+    xs = xl[j:hi]
+    ls = d // w
+    ya = j - ls - (d % w > 0)
+    ya = ya if ya > 0 else 0
+    ys = yl[ya : hi - ls if hi > ls else 0]
+    yv = int_from_limbs(ys, w)
+    shift = top - d - (ya + len(ys)) * w
+    xv = int_from_limbs(xs, w) << (top - (j + len(xs)) * w)
+    return xv, yv << shift if shift >= 0 else yv >> -shift
 
-    `start_pos` is the first x-frame bit position the main term did not
-    consume (p + 3).  `shifted_out`, when given, is the sum bit displaced by
-    the carry renormalization; its weight puts it one position before
-    `start_pos` in the scan order, and it shifts reported positions into the
-    result's mantissa frame (one below the x frame).  A displaced bit
-    unequal to fb settles the class unread, and so does, with fb = 0, y
-    lying wholly below the window.
 
-    Otherwise the trailing bits from `start_pos` on settle it (missing bits
-    read as 0).  With fb = 0 any 1 up to the longer operand's end makes the
-    term positive.  With fb = 1 the digit sums x_i + y_(i-d) are all 1
-    exactly while the comparison with u stays open; the first two equal bits
-    settle it, zeros below u and ones at or above, and then any 1 after
-    them puts it above.  Past the end of either mantissa no digit 2 can
-    form, so the search for equal bits stops at the shorter operand's end.
+def _settle(
+    x: Float, y: Float, precision: int, d: int
+) -> tuple[int, int, int, int, int | None, ErrorClass, ScanStats]:
+    """Read x and y once, most significant first: cut the window sum, then
+    compare the error term against 0 and the following bit's weight u.
 
-    Each round joins a slice of x's limb blocks, and the y limbs reaching
-    them, into one int per operand on x's grid and tests it with one XNOR or
-    OR, going on with OR in the same slice after equal ones.  The stats
-    charge what a walk one block at a time would consult up to the settling
-    position.
+    x has the larger exponent and d >= 0 is the exponent difference.
+    Returns (mantissa, exponent, rb, fb, shifted_out, error_class, stats):
+    the window sum's first p bits as a p-bit int, its exponent, the two bits
+    that follow, and the sum bit a window carry displaced (else None).  That
+    bit belongs to the error term one position before p + 3, the first
+    position the window did not consume, and moves reported positions into
+    the result's mantissa frame, one below x's.
+
+    A displaced bit unequal to fb settles the class unread, and so does,
+    with fb = 0, y lying wholly below the window.  Otherwise the bits from
+    p + 3 on settle it (missing bits read as 0).  With fb = 0 any 1 up to
+    the longer operand's end makes the term positive.  With fb = 1 the digit
+    sums x_i + y_(i-d) are all 1 exactly while the comparison with u stays
+    open; the first two equal bits settle it, zeros below u and ones at or
+    above, and then any 1 after them puts it above.  Past the end of either
+    mantissa no digit 2 can form, so the search for equal bits stops at the
+    shorter operand's end.
+
+    The first slice spans the window's blocks and _FIRST_SLICE more; each is
+    tested with one XNOR or OR, going on with OR in the same slice after
+    equal ones.  The stats charge what a walk one block at a time would
+    consult up to the settling position, the window's limbs at least.
     """
-    stats = ScanStats()
+    w = x.limb_width
+    xl, yl = x.limbs, y.limbs
+    window = precision + 2
+    ls = d // w
+    hi = window // w + _FIRST_SLICE
+    top = hi * w
+    xv, yv = _join(xl, yl, w, d, 0, hi)
+    total = (xv >> (top - window)) + (yv >> (top - window))
+    exponent = x.exponent
+    shifted_out = None
+    if total >> window:
+        shifted_out = total & 1
+        total >>= 1
+        exponent += 1
+    fb = total & 1
+
+    # The window reads x's blocks up to its last one and, when y overlaps
+    # it, y's limbs reaching them.  A scan moves `block` on, never back, and
+    # an overlapping y reaches every block it scans.
+    block = (window - 1) // w
+    y_seen = d < window
+    examined, q_found, cls = 0, None, None
     if shifted_out is not None:
-        stats.trailing_bits_examined += 1
+        examined = 1
         if shifted_out != fb:
             # With fb = 0 a displaced 1 makes the term positive.  With fb = 1
             # a displaced 0 is a digit 0 ahead of every remaining input bit:
             # nothing below can close the gap up to u.
+            cls = ErrorClass.GT_ZERO_LT_U
             if fb:
-                stats.q_found_at = start_pos
-            return ErrorClass.GT_ZERO_LT_U, stats
-    elif fb == 0 and d >= start_pos - 1:
-        # y lies wholly below the consumed window; its leading 1 makes
-        # the error term positive without any of its bits being read.
-        return ErrorClass.GT_ZERO_LT_U, stats
-    # With fb = 0 every scanned position now lies inside at least one
-    # operand: y overlaps the window, so no empty gap between them is crossed.
-    m, y_end = x.precision, d + y.precision
-    agree = fb == 1
-    end = min(m, y_end) if agree else max(m, y_end)
-    if start_pos > end:
-        return (ErrorClass.GT_ZERO_LT_U if agree else ErrorClass.EQ_ZERO), stats
-    w = x.limb_width
-    xl, yl = x.limbs, y.limbs
-    ls, bs = divmod(d, w)
-    lead = ls + (bs > 0)  # block j takes y's limbs from j - lead on
-    first = j = (start_pos - 1) // w
-    stop = (end - 1) // w + 1
-    pos, size = start_pos, _FIRST_SLICE
-    while True:
-        hi = j + size if j + size < stop else stop
-        top = hi * w  # slice ints hold the bit at position top at weight 1
-        xs = xl[j:hi]
-        ya = j - lead if j > lead else 0
-        yb = hi - ls if hi > ls else 0
-        ys = yl[ya:yb]
-        xv = int_from_limbs(xs, w) << (top - (j + len(xs)) * w)
-        yv = int_from_limbs(ys, w)
-        shift = top - d - (ya + len(ys)) * w
-        yv = yv << shift if shift >= 0 else yv >> -shift
-        while True:
-            low = end if end < top else top
-            bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & ((1 << (low - pos + 1)) - 1)
-            if not bits or not agree:
-                break
-            q = low + 1 - bits.bit_length()
-            stats.q_found_at = q + (shifted_out is not None)  # into the result frame
-            if not xv >> (top - q) & 1:
-                break
-            # Equal ones at q: test the rest of this slice for a 1; the next
-            # slice takes _FIRST_SLICE blocks again (size doubles below).
-            agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
+                q_found = window + 1
+    elif fb == 0 and d >= window:
+        # y lies wholly below the window; its leading 1 makes the error term
+        # positive without any of its bits being read.
+        cls = ErrorClass.GT_ZERO_LT_U
+    if cls is None:
+        # With fb = 0 every scanned position now lies inside at least one
+        # operand: y overlaps the window, so no empty gap between them is
+        # crossed.
+        m, y_end = x.precision, d + y.precision
+        agree = fb == 1
+        end = min(m, y_end) if agree else max(m, y_end)
+        pos, bits = window + 1, 0
+        if pos <= end:
             stop = (end - 1) // w + 1
-        if bits or low == end:
-            break
-        pos, j, size = top + 1, hi, 2 * size
+            size = _FIRST_SLICE
+            while True:
+                while True:
+                    low = end if end < top else top
+                    mask = (1 << (low - pos + 1)) - 1
+                    bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & mask
+                    if not bits or not agree:
+                        break
+                    q = low + 1 - bits.bit_length()
+                    q_found = q + (shifted_out is not None)  # into the result frame
+                    if not xv >> (top - q) & 1:
+                        break
+                    # Equal ones at q: test the rest of this slice for a 1; the
+                    # next slice takes _FIRST_SLICE blocks again (size doubles
+                    # below).
+                    agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
+                    stop = (end - 1) // w + 1
+                if bits or low == end:
+                    break
+                pos, j, size = top + 1, hi, 2 * size
+                hi = j + size if j + size < stop else stop
+                top = hi * w
+                xv, yv = _join(xl, yl, w, d, j, hi)
+            settled = low + 1 - bits.bit_length() if bits else end
+            examined += settled - window
+            block = (settled - 1) // w
+            y_seen = block >= ls
+        if not fb:
+            cls = ErrorClass.GT_ZERO_LT_U if bits else ErrorClass.EQ_ZERO
+        elif agree:  # equal zeros at q, or no agreeing pair at all
+            cls = ErrorClass.GT_ZERO_LT_U
+        else:
+            cls = ErrorClass.GT_U if bits else ErrorClass.EQ_U
 
-    # Slices only move forward and both stops grow with hi, so the last
-    # slice's clamped stops are each operand's high-water mark.
-    stats.limbs_touched = (hi if hi < len(xl) else len(xl)) + (yb if yb < len(yl) else len(yl))
-    settled = low + 1 - bits.bit_length() if bits else end
-    stats.trailing_bits_examined += settled - start_pos + 1
-    # The walk reads x's limbs first..block and y's first-lead..block-ls,
-    # each clipped to the stored range.
-    block = (settled - 1) // w
-    if first < len(xl):
-        stats.x_limbs_read = block + 1 if block < len(xl) else len(xl)
-    y_last = block - ls if block - ls < len(yl) else len(yl) - 1
-    if y_last >= (first - lead if first > lead else 0):
-        stats.y_limbs_read = y_last + 1
-    if not fb:
-        return (ErrorClass.GT_ZERO_LT_U if bits else ErrorClass.EQ_ZERO), stats
-    if agree:  # equal zeros at q, or no agreeing pair at all
-        return ErrorClass.GT_ZERO_LT_U, stats
-    return (ErrorClass.GT_U if bits else ErrorClass.EQ_U), stats
+    # Slices only move forward, so the last one's clamped ends are each
+    # operand's high-water mark.
+    nx, ny, yb = len(xl), len(yl), hi - ls if hi > ls else 0
+    return total >> 2, exponent, total >> 1 & 1, fb, shifted_out, cls, ScanStats(
+        block + 1 if block < nx else nx,
+        (block - ls + 1 if block - ls < ny else ny) if y_seen else 0,
+        examined,
+        q_found,
+        (hi if hi < nx else nx) + (yb if yb < ny else ny),
+    )
 
 
 # Rows: (rb, fb, error class) -> (r, s, carry into the p-bit mantissa).
@@ -309,11 +283,10 @@ def add_positive(
 
     a, b = _ordered(x, y)
     d = a.exponent - b.exponent
-    term = compute_main_term(a, b, precision, d)
-    error_class, stats = classify_error(a, b, d, term.fb, precision + 3, term.shifted_out)
-    r, s, carry = combine_rfe(term.rb, term.fb, error_class)
+    mantissa, exponent, rb, fb, _, error_class, stats = _settle(a, b, precision, d)
+    r, s, carry = combine_rfe(rb, fb, error_class)
 
-    mantissa, exponent = term.mantissa + carry, term.exponent
+    mantissa += carry
     ternary = decide_round(mode, r, s, mantissa & 1)
     if ternary == 1:
         mantissa += 1
@@ -326,8 +299,5 @@ def add_positive(
     if exponent > ctx.emax:
         return Overflow(mode, 1, ternary)
 
-    stats.x_limbs_read = max(term.x_limbs_read, stats.x_limbs_read)
-    stats.y_limbs_read = max(term.y_limbs_read, stats.y_limbs_read)
-    stats.limbs_touched = max(term.x_limbs_read + term.y_limbs_read, stats.limbs_touched)
     result = float_from_mantissa(1, exponent, precision, mantissa, a.limb_width)
     return AddOutcome(result, ternary, stats)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, make_float
+from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, NotNormalized, make_float_from_int
 from .rounding import Overflow, RoundingMode
 
 
@@ -35,7 +35,10 @@ class ParseError(ValueError):
     """Input does not match the value grammar or the fixture line format."""
 
 
-_FLOAT_RE = re.compile(r"0\.(?P<bits>[01]+)(?:e(?P<exp>[+-]?\d+))?\Z")
+# [0-9], not \d: \d and int() also take other scripts' decimal digits, and
+# int() takes underscores and surrounding whitespace.
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_FLOAT_RE = re.compile(r"0\.(?P<bits>[01]+)(?:e(?P<exp>[+-]?[0-9]+))?\Z")
 _SPECIAL_RE = re.compile(r"(?P<kind>nan|inf|zero|overflow)(?:\((?P<sign>[+-])\))?\Z")
 _TERNARY = {"-1": -1, "0": 0, "+1": 1}
 
@@ -60,7 +63,20 @@ def parse_float(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float:
         exponent = int(digits)
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"exponent has too many digits ({len(digits)})") from None
-    return make_float(1, exponent, len(bits), bits, ctx=ctx)
+    try:  # the regex has checked the digits: no second scan as in make_float
+        return make_float_from_int(1, exponent, len(bits), int(bits, 2), ctx=ctx)
+    except NotNormalized:  # after the precision and exponent checks, in make_float's words
+        raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}") from None
+
+
+def parse_int(token: str) -> int:
+    """An optionally signed run of ASCII decimal digits."""
+    if _INT_RE.match(token) is None:
+        raise ParseError(f"not an integer: {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer has too many digits ({len(token)})") from None
 
 
 def parse_token(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float | SpecialValue:
@@ -141,8 +157,8 @@ def parse_fixture_line(line: str, *, ctx: Context = DEFAULT_CONTEXT) -> FixtureC
             "fixture line must read 'x y p mode -> result ternary', got: " + text
         )
     try:
-        precision = int(fields[2])
-    except ValueError:
+        precision = parse_int(fields[2])
+    except ParseError:
         raise ParseError(f"not a precision: {fields[2]!r}") from None
     try:
         ctx.check_precision(precision)

@@ -244,11 +244,59 @@ def test_check_non_utf8_file_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_leading_zero_message(tmp_path, capsys):
+    assert run(capsys, "add", "-p", "2", "0.01", "0.10") == (
+        1, "", "error: leading mantissa bit must be 1: '01'\n"
+    )
+    fixture = tmp_path / "lead.txt"
+    fixture.write_text("0.01 0.10 2 down -> 0.10e1 0\n")
+    assert run(capsys, "check", str(fixture)) == (
+        1, "", "error: line 1: leading mantissa bit must be 1: '01'\n"
+    )
+
+
+# Arabic-Indic one and two: int() and the regex class \d read them as 1 and 2.
+ONE, TWO = "\u0661", "\u0662"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["add", "-p", "2", f"0.11e{ONE}", "0.10e-5"],
+        ["add", "-p", TWO, "0.11", "0.10"],
+        ["add", "-p", "1_0", "0.11", "0.10"],
+        ["verify", "--seed", ONE, "--count", "2"],
+        ["verify", "--seed", "1", "--count", "1_0"],
+        ["verify", "--seed", "1", "--max-prec", f"6{TWO}"],
+    ],
+    ids=["exponent", "precision", "precision-underscore", "seed", "count", "max-prec"],
+)
+def test_add_and_verify_reject_digits_that_are_not_ascii(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"0.11e{ONE} 0.10 2 down -> 0.10e1 0",
+        f"0.11 0.10 {TWO} down -> 0.10e1 0",
+        "0.11 0.10 1_0 down -> 0.10e1 0",
+    ],
+    ids=["exponent", "precision", "precision-underscore"],
+)
+def test_check_rejects_digits_that_are_not_ascii(tmp_path, capsys, line):
+    fixture = tmp_path / "digits.txt"
+    fixture.write_text(line + "\n")
+    code, out, err = run(capsys, "check", str(fixture))
+    assert (code, out) == (1, "") and err.startswith("error: line 1: ")
+
+
 # --- fuzzing: any argv or fixture file gives an exit code, never a raise ----
 
 _SPECIALS = ["nan", "inf(+)", "inf(-)", "zero(+)", "zero(-)", "overflow(+)", "overflow(-)"]
 _TOKEN = st.one_of(
-    st.text("01.e+-()", max_size=12),
+    st.text(f"01.e+-()_{ONE}{TWO}", max_size=12),
     st.builds("0.1{}e{}".format, st.text("01", max_size=8), st.integers(-(1 << 31), 1 << 31)),
     st.sampled_from(_SPECIALS),
     st.text(max_size=8),
@@ -258,6 +306,7 @@ _TOKEN = st.one_of(
 _PRECISION = st.one_of(
     st.integers(-2, 1 << 10).map(str),
     st.sampled_from([str(DEFAULT_MAX_PRECISION + 1), "99999999999"]),
+    st.text(f"12 _{TWO}", max_size=4),
     st.text(max_size=4),
 )
 _MODE = st.one_of(st.sampled_from([mode.value for mode in RoundingMode]), st.text(max_size=8))

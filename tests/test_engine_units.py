@@ -6,14 +6,15 @@ arithmetic and exact rational evaluation; the checks in
 random inputs.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xadd import make_float
-from xadd.engine import ErrorClass, InvalidCombination, classify_error, combine_rfe, compute_main_term
+from xadd import RoundingMode, add_positive, make_float
+from xadd.engine import ErrorClass, InvalidCombination, _settle, combine_rfe
 
 from .helpers import pow2
 
@@ -22,7 +23,20 @@ def align_for(x, y):
     return x.exponent - y.exponent
 
 
-# --- compute_main_term ----------------------------------------------------
+# The fields of the tuple that `_settle` returns.
+Settled = namedtuple("Settled", "mantissa exponent rb fb shifted_out cls stats")
+
+
+def settle(x, y, p):
+    return Settled(*_settle(x, y, p, align_for(x, y)))
+
+
+def reads(x, y, p):
+    s = add_positive(x, y, p, RoundingMode.NEAREST_EVEN).stats
+    return s.x_limbs_read, s.y_limbs_read
+
+
+# --- the window -----------------------------------------------------------
 
 
 def test_window_carry_displaces_low_bit():
@@ -30,30 +44,30 @@ def test_window_carry_displaces_low_bit():
     # and the displaced window bit joins the error term.
     x = make_float(1, 0, 4, "1010")
     y = make_float(1, 0, 4, "1001")
-    t = compute_main_term(x, y, 2, align_for(x, y))
+    t = settle(x, y, 2)
     assert format(t.mantissa, "02b") == "10"
     assert (t.rb, t.fb) == (0, 1)
-    assert t.carried and t.shifted_out == 1
+    assert t.shifted_out == 1
     assert t.exponent == 1
 
 
 def test_window_with_y_fully_below():
     x = make_float(1, 0, 2, "11")
     y = make_float(1, -10, 2, "11")
-    t = compute_main_term(x, y, 2, align_for(x, y))
+    t = settle(x, y, 2)
     assert format(t.mantissa, "02b") == "11"
     assert (t.rb, t.fb) == (0, 0)
-    assert not t.carried and t.shifted_out is None
+    assert t.shifted_out is None
     assert t.exponent == 0
-    assert t.y_limbs_read == 0
+    assert reads(x, y, 2)[1] == 0
 
 
 def test_window_carry_with_exact_tail():
     x = make_float(1, 0, 4, "1111")
-    t = compute_main_term(x, x, 4, align_for(x, x))
+    t = settle(x, x, 4)
     assert format(t.mantissa, "04b") == "1111"
     assert (t.rb, t.fb) == (0, 0)
-    assert t.carried and t.shifted_out == 0
+    assert t.shifted_out == 0
     assert t.exponent == 1
 
 
@@ -62,25 +76,21 @@ def test_window_spanning_limbs():
     # window's last position, split-shifted across the limb seam.
     x = make_float(1, 0, 70, "1" + "0" * 68 + "1")
     y = make_float(1, -65, 2, "11")
-    t = compute_main_term(x, y, 64, align_for(x, y))
+    t = settle(x, y, 64)
     assert (t.rb, t.fb) == (0, 1)
     assert format(t.mantissa, "064b") == "1" + "0" * 63
-    assert t.x_limbs_read == 2 and t.y_limbs_read == 1
+    assert reads(x, y, 64) == (2, 1)
 
 
-# --- classify_error -------------------------------------------------------
-
-
-def classify(x, y, p, term):
-    return classify_error(x, y, align_for(x, y), term.fb, p + 3, term.shifted_out)
+# --- the error class ------------------------------------------------------
 
 
 def test_error_zero_when_no_trailing_bits():
     x = make_float(1, 0, 2, "10")
     y = make_float(1, -1, 2, "10")
-    t = compute_main_term(x, y, 2, align_for(x, y))
+    t = settle(x, y, 2)
     assert (t.rb, t.fb) == (0, 0)
-    cls, stats = classify(x, y, 2, t)
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.EQ_ZERO
     assert stats.trailing_bits_examined == 0
 
@@ -89,8 +99,8 @@ def test_error_positive_without_reading_y():
     # y lies wholly below the window: its leading 1 settles the question.
     x = make_float(1, 0, 2, "11")
     y = make_float(1, -10, 2, "11")
-    t = compute_main_term(x, y, 2, align_for(x, y))
-    cls, stats = classify(x, y, 2, t)
+    t = settle(x, y, 2)
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.GT_ZERO_LT_U
     assert stats.y_limbs_read == 0
     assert stats.trailing_bits_examined == 0
@@ -101,9 +111,9 @@ def test_pair_scan_stops_at_equal_zeros():
     # the error term stays below u.
     x = make_float(1, 0, 7, "1000100")
     y = make_float(1, -3, 4, "1010")
-    t = compute_main_term(x, y, 2, align_for(x, y))
-    assert (t.rb, t.fb) == (0, 1) and not t.carried
-    cls, stats = classify(x, y, 2, t)
+    t = settle(x, y, 2)
+    assert (t.rb, t.fb) == (0, 1) and t.shifted_out is None
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.GT_ZERO_LT_U
     assert stats.q_found_at == 7
     assert stats.trailing_bits_examined == 3
@@ -112,9 +122,9 @@ def test_pair_scan_stops_at_equal_zeros():
 def test_pair_scan_equal_ones_with_empty_tail_is_exactly_u():
     x = make_float(1, 0, 5, "10001")
     y = make_float(1, -3, 2, "11")
-    t = compute_main_term(x, y, 2, align_for(x, y))
-    assert (t.rb, t.fb) == (0, 1) and not t.carried
-    cls, stats = classify(x, y, 2, t)
+    t = settle(x, y, 2)
+    assert (t.rb, t.fb) == (0, 1) and t.shifted_out is None
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.EQ_U
     assert stats.q_found_at == 5
     assert stats.trailing_bits_examined == 1
@@ -125,9 +135,9 @@ def test_pair_scan_exhaustion_means_below_u():
     # form from one mantissa alone.
     x = make_float(1, 0, 12, "101111100101")
     y = make_float(1, -7, 5, "11010")
-    t = compute_main_term(x, y, 2, align_for(x, y))
+    t = settle(x, y, 2)
     assert (t.rb, t.fb) == (1, 1)
-    cls, stats = classify(x, y, 2, t)
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.GT_ZERO_LT_U
     assert stats.q_found_at is None
     assert stats.trailing_bits_examined == 8
@@ -138,9 +148,9 @@ def test_displaced_one_keeps_the_scan_going():
     # nothing follows, so the error equals u exactly.
     x = make_float(1, 0, 5, "10111")
     y = make_float(1, 0, 5, "10001")
-    t = compute_main_term(x, y, 2, align_for(x, y))
-    assert t.carried and t.shifted_out == 1 and (t.rb, t.fb) == (0, 1)
-    cls, stats = classify(x, y, 2, t)
+    t = settle(x, y, 2)
+    assert t.shifted_out == 1 and (t.rb, t.fb) == (0, 1)
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.EQ_U
     assert stats.q_found_at == 6  # reported in the shifted result frame
     assert stats.trailing_bits_examined == 2
@@ -148,9 +158,9 @@ def test_displaced_one_keeps_the_scan_going():
 
 def test_displaced_zero_settles_below_u():
     x = make_float(1, 0, 5, "10011")
-    t = compute_main_term(x, x, 2, align_for(x, x))
-    assert t.carried and t.shifted_out == 0 and (t.rb, t.fb) == (0, 1)
-    cls, stats = classify(x, x, 2, t)
+    t = settle(x, x, 2)
+    assert t.shifted_out == 0 and (t.rb, t.fb) == (0, 1)
+    cls, stats = t.cls, t.stats
     assert cls is ErrorClass.GT_ZERO_LT_U
     assert stats.q_found_at == 5
     assert stats.trailing_bits_examined == 1
@@ -197,19 +207,22 @@ def test_window_two_whole_limbs_plus_two_bits_below():
     ybits = "11" + "0" * 60 + "1" * 38
     x = make_float(1, 0, len(xbits), xbits)
     y = make_float(1, -130, len(ybits), ybits)
-    t = compute_main_term(x, y, 190, 130)
+    t = Settled(*_settle(x, y, 190, 130))
     mant, rb, fb, carried, shifted_out, exponent, cls = reference_window(xbits, ybits, 130, 190)
     assert format(t.mantissa, "0190b") == mant
-    assert (t.rb, t.fb, t.carried, t.shifted_out, t.exponent) == (
+    assert (t.rb, t.fb, t.shifted_out is not None, t.shifted_out, t.exponent) == (
         rb,
         fb,
         carried,
         shifted_out,
         exponent,
     )
-    assert (t.x_limbs_read, t.y_limbs_read) == (3, 1)
-    got_cls, _ = classify_error(x, y, 130, t.fb, 193, t.shifted_out)
-    assert got_cls is cls
+    assert t.cls is cls
+    # The window reads x's limbs 0..2 and y's leading limb; the error class
+    # settles at position 193, the first bit of x's fourth limb, which y's
+    # second limb reaches too.
+    assert t.stats.trailing_bits_examined == 1
+    assert reads(x, y, 190) == (4, 2)
 
 
 @settings(max_examples=400)
@@ -227,19 +240,18 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
     x = make_float(1, 0, m, xbits)
     y = make_float(1, -d, n, ybits)
     align = align_for(x, y)
-    t = compute_main_term(x, y, p, align)
+    t = Settled(*_settle(x, y, p, align))
     mant, rb, fb, carried, shifted_out, exponent, cls = reference_window(xbits, ybits, d, p)
     assert format(t.mantissa, f"0{p}b") == mant
-    assert (t.rb, t.fb, t.carried, t.shifted_out, t.exponent) == (
+    assert (t.rb, t.fb, t.shifted_out is not None, t.shifted_out, t.exponent) == (
         rb,
         fb,
         carried,
         shifted_out,
         exponent,
     )
-    got_cls, stats = classify_error(x, y, align, t.fb, p + 3, t.shifted_out)
-    assert got_cls is cls
-    assert stats.trailing_bits_examined <= m + n
+    assert t.cls is cls
+    assert t.stats.trailing_bits_examined <= m + n
 
 
 # --- combine_rfe ----------------------------------------------------------

@@ -275,3 +275,42 @@ def test_equal_ones_switch_boundaries(w, name):
         ) == _EQUAL_ONES_PINNED[w, name]
         read = s.x_limbs_read + s.y_limbs_read
         assert read <= s.limbs_touched <= read + 2 * (s.trailing_bits_examined // w) + 8
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
+    # The window and the first scan slice come from the same two joined
+    # ints: one int_from_limbs call per operand, where joining the window
+    # and then the scan's first slice apart took four.
+    import xadd.engine
+
+    calls = []
+    join = xadd.engine.int_from_limbs
+    monkeypatch.setattr(
+        xadd.engine, "int_from_limbs", lambda limbs, width: calls.append(limbs) or join(limbs, width)
+    )
+    ctx = Context(limb_width=w)
+    rng = random.Random(53)
+    x = make_float_from_int(1, 0, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
+    y = make_float_from_int(1, -20, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
+    out = add_positive(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    want = exact_add_round(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    assert (out.result, out.ternary) == (want.result, want.ternary)
+    # fb = 0, and y's tail below the window settles the class at bit 6.
+    assert out.stats.trailing_bits_examined == 6
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_limbs_touched_when_y_lies_below_the_window(w):
+    # fb = 0 with y wholly below the 55-bit window settles unread, yet the
+    # first slice has already taken the window's blocks plus four more from
+    # each operand's storage: 7 limbs at both widths, where the window alone
+    # took 2 (w = 32) or 1 (w = 64).
+    ctx = Context(limb_width=w)
+    xm = (1 << 299 | random.Random(1).getrandbits(299)) & ~(1 << (300 - 55))
+    x = make_float_from_int(1, 0, 300, xm, ctx=ctx)
+    y = make_float_from_int(1, -100, 300, 1 << 299 | random.Random(2).getrandbits(299), ctx=ctx)
+    s = add_positive(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx).stats
+    assert (s.x_limbs_read, s.y_limbs_read, s.trailing_bits_examined) == (64 // w, 0, 0)
+    assert s.limbs_touched == 7

@@ -55,7 +55,10 @@ def test_parse_rejects_out_of_range_exponent():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "0.", "1.01", "0.102", "0.10e", "0.10e1.5", "0.10 e1", ".10", "0.10f2", "0,10"],
+    [
+        "", "0.", "1.01", "0.102", "0.10e", "0.10e1.5", "0.10 e1", ".10", "0.10f2", "0,10",
+        "0.10e\u0661", "0.10e1\u0662", "0.10e1_0",
+    ],
 )
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ParseError):
@@ -168,6 +171,8 @@ def test_fixture_comments_and_blanks_skipped():
         "0.10 0.01 2 down -> 0.10e1 0",  # unnormalized operand
         "0.11e0 0.10e0 0 nearest -> 0.10e0 0",  # precision below 2
         "0.11e0 0.10e0 99999999999 nearest -> 0.10e0 0",  # precision above the cap
+        "0.11e0 0.10e0 \u0662 nearest -> 0.10e0 0",  # a digit that is not ASCII
+        "0.11e0 0.10e0 1_0 nearest -> 0.10e0 0",  # int() would read 10
     ],
 )
 def test_fixture_line_rejects_malformed(line):
