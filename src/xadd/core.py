@@ -18,6 +18,8 @@ Each value is validated once, by whoever builds it:
   limb by limb, that the mantissa is normalized.
 - `make_float` and `make_float_from_int` check the context (precision range
   and cap, exponent range), the digits or the leading bit, and the sign.
+  A mantissa written out is read once: `_bits_int` guards one
+  ``int(bits, 2)``, and `make_float` and ``textio.parse_float`` share it.
 - `float_from_mantissa` is the one trusted builder of the values the
   library computes.  It checks only the mantissa's leading bit and fills the
   slots directly, skipping ``Float.__post_init__``, because it produces the
@@ -26,7 +28,6 @@ Each value is validated once, by whoever builds it:
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,9 +42,6 @@ DEFAULT_MAX_PRECISION = 2**24
 # Limb width -> big-endian struct code of one limb.
 _LIMB_CODES = {32: "I", 64: "Q"}
 _LIMB_WIDTHS = tuple(_LIMB_CODES)
-# A mantissa written out: ASCII 0s and 1s only.  int(bits, 2) is no check,
-# as it also takes other Unicode digits, underscores, a sign and whitespace.
-_BITS_RE = re.compile("[01]*")
 
 
 class FloatValueError(ValueError):
@@ -103,6 +101,34 @@ def _check_exponent_type(exponent: object) -> None:
         raise ExponentOutOfRange(f"exponent must be an int, got {exponent!r}")
 
 
+def _check_sign(sign: object) -> None:
+    # An int test as for the exponent: 1.0 and True compare equal to 1.
+    if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+        raise FloatValueError(f"sign must be +1 or -1, got {sign!r}")
+
+
+def _bits_int(bits: str) -> int | None:
+    """``int(bits, 2)`` when `bits` is a non-empty run of ASCII 0s and 1s, else None.
+
+    int() alone is no check: it also takes other scripts' digits, underscores,
+    a sign, a 0b prefix and whitespace around the digits.  The guards shut each
+    of those out in constant time or at memchr speed, so that int() is the one
+    pass over the digits.
+    """
+    if (
+        bits[:1] in ("0", "1")  # not empty, no sign, no leading whitespace
+        and bits[-1:] in ("0", "1")  # no trailing whitespace
+        and bits[1:2] not in ("b", "B")  # no 0b prefix
+        and bits.isascii()
+        and "_" not in bits
+    ):
+        try:
+            return int(bits, 2)
+        except ValueError:  # some other character inside the run
+            pass
+    return None
+
+
 def limb_count(precision: int, limb_width: int) -> int:
     return -(-precision // limb_width)
 
@@ -138,8 +164,7 @@ class Float:
     limb_width: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise FloatValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        _check_sign(self.sign)
         if not isinstance(self.precision, int) or self.precision < 2:
             raise InvalidPrecision(f"precision must be an int >= 2, got {self.precision!r}")
         if not mantissa_is_normalized(self.limbs, self.precision, self.limb_width):
@@ -189,11 +214,12 @@ def make_float(
         raise InvalidPrecision(
             f"got {len(bits)} mantissa bits for precision {precision}"
         )
-    if _BITS_RE.fullmatch(bits) is None:
+    mantissa = _bits_int(bits)
+    if mantissa is None:
         raise FloatValueError(f"mantissa may contain only 0 and 1: {bits!r}")
     if bits[0] != "1":
         raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}")
-    return make_float_from_int(sign, exponent, precision, int(bits, 2), ctx=ctx)
+    return make_float_from_int(sign, exponent, precision, mantissa, ctx=ctx)
 
 
 def make_float_from_int(
@@ -209,8 +235,7 @@ def make_float_from_int(
     ctx.check_exponent(exponent)
     x = float_from_mantissa(sign, exponent, precision, mantissa, ctx.limb_width)
     # Checked after the leading bit: an input with both faults raises NotNormalized.
-    if sign not in (1, -1):
-        raise FloatValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign)
     return x
 
 

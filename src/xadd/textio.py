@@ -6,7 +6,10 @@ Grammar for a finite value:
 
 The bit count sets the precision (so trailing zeros are significant), the
 first bit must be 1, and a missing exponent means 0.  The canonical output
-form always spells the exponent: ``0.1011e0``.
+form always spells the exponent: ``0.1011e0``.  A token is split with string
+operations and its mantissa digits are read once, by the guarded
+``int(bits, 2)`` that `make_float` uses too (``core._bits_int``); only the
+exponent goes through a regex.
 
 Special values are written as tagged tokens: ``nan``, ``inf(+)``,
 ``inf(-)``, ``zero(+)``, ``zero(-)``, and ``overflow(+)`` / ``overflow(-)``
@@ -27,7 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, NotNormalized, make_float_from_int
+from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, NotNormalized
+from .core import _bits_int, make_float_from_int
 from .rounding import Overflow, RoundingMode
 
 
@@ -38,7 +42,6 @@ class ParseError(ValueError):
 # [0-9], not \d: \d and int() also take other scripts' decimal digits, and
 # int() takes underscores and surrounding whitespace.
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_FLOAT_RE = re.compile(r"0\.(?P<bits>[01]+)(?:e(?P<exp>[+-]?[0-9]+))?\Z")
 _SPECIAL_RE = re.compile(r"(?P<kind>nan|inf|zero|overflow)(?:\((?P<sign>[+-])\))?\Z")
 _TERNARY = {"-1": -1, "0": 0, "+1": 1}
 
@@ -54,17 +57,17 @@ class SpecialValue:
 def parse_float(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float:
     """Parse a finite positive value; raises ParseError on bad syntax and
     the construction errors (NotNormalized and friends) on bad content."""
-    match = _FLOAT_RE.match(token)
-    if match is None:
+    mark = token.find("e", 2)
+    bits, digits = (token[2:], "0") if mark < 0 else (token[2:mark], token[mark + 1 :])
+    mantissa = _bits_int(bits) if token.startswith("0.") and _INT_RE.match(digits) else None
+    if mantissa is None:
         raise ParseError(f"not a binary float token: {token!r}")
-    bits = match.group("bits")
-    digits = match.group("exp") or "0"
     try:
         exponent = int(digits)
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"exponent has too many digits ({len(digits)})") from None
-    try:  # the regex has checked the digits: no second scan as in make_float
-        return make_float_from_int(1, exponent, len(bits), int(bits, 2), ctx=ctx)
+    try:
+        return make_float_from_int(1, exponent, len(bits), mantissa, ctx=ctx)
     except NotNormalized:  # after the precision and exponent checks, in make_float's words
         raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}") from None
 

@@ -47,18 +47,23 @@ def test_make_float_rejects_bit_count_mismatch():
 
 def test_make_float_rejects_bad_characters():
     # int(bits, 2) takes all but "1x": a non-ASCII digit, an underscore, a
-    # sign and surrounding whitespace.
-    for bits in ("1x", "1\u0661", "1_", "+1", "1 ", "1\n"):
+    # sign, a 0b prefix and surrounding whitespace (\x1c counts as whitespace).
+    for bits in ("1x", "1\u0661", "1_", "+1", "1 ", "1\n", "\x1c1", "1\x1c", "0b1", "0B1", "1\u06610"):
         with pytest.raises(FloatValueError):
-            make_float(1, 0, 2, bits)
+            make_float(1, 0, len(bits), bits)
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2])
+@pytest.mark.parametrize("sign", [0, 2, -2, 1.0, -1.0, True])
 def test_public_builders_reject_a_sign_other_than_plus_or_minus_one(sign):
+    # 1.0 and True compare equal to 1, so an equality test alone lets them in.
     with pytest.raises(FloatValueError, match="sign must be"):
         make_float(sign, 0, 2, "10")
     with pytest.raises(FloatValueError, match="sign must be"):
         make_float_from_int(sign, 0, 2, 0b10)
+    with pytest.raises(FloatValueError, match="sign must be"):
+        Float(sign, 0, 2, (1 << 63,), 64)
+    with pytest.raises(NotNormalized):  # the leading bit is checked first
+        make_float_from_int(sign, 0, 2, 0b01)
     assert make_float(-1, 0, 2, "10") == make_float_from_int(-1, 0, 2, 0b10)
 
 

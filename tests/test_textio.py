@@ -1,12 +1,18 @@
 """Text grammar: parsing, formatting, fixture lines."""
 
+import random
+import re
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xadd import (
+    Context,
     ExponentOutOfRange,
     FixtureCase,
+    FloatValueError,
     NotNormalized,
     Overflow,
     ParseError,
@@ -17,13 +23,14 @@ from xadd import (
     format_special,
     format_ternary,
     make_float,
+    make_float_from_int,
     parse_fixture_line,
     parse_float,
     parse_mode,
     parse_ternary,
     parse_token,
 )
-from xadd.core import DEFAULT_CONTEXT
+from xadd.core import DEFAULT_CONTEXT, DEFAULT_MAX_PRECISION
 
 
 def test_parse_with_exponent():
@@ -58,11 +65,90 @@ def test_parse_rejects_out_of_range_exponent():
     [
         "", "0.", "1.01", "0.102", "0.10e", "0.10e1.5", "0.10 e1", ".10", "0.10f2", "0,10",
         "0.10e\u0661", "0.10e1\u0662", "0.10e1_0",
+        "0.0b1", "0.0B1", "0.1_0", "0.+1", "0.-1", "0. 1", "0.1 ", "0.1\n", "0.1\x1c", "0.\u06611", "0.1\u06610",
     ],
 )
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ParseError):
         parse_float(bad)
+
+
+# The grammar as a regex, and a reference parser on it: int(bits, 2) takes
+# more than [01]+, so these pin what the parsers must still refuse.
+_FLOAT_GRAMMAR = re.compile(r"0\.([01]+)(?:e([+-]?[0-9]+))?\Z")
+# Every character int() treats leniently, beside the grammar's own.
+_LENIENT = "01eE.+-_bBx \t\n\x0b\x1c\u0661\u0662"
+_SMALL_CTX = Context(emax=40, max_precision=64)
+
+
+@st.composite
+def _near_miss(draw, valid):
+    """A valid text with up to three characters from _LENIENT (or a 0b
+    prefix) inserted or replaced, or text drawn from _LENIENT alone."""
+    if draw(st.booleans()):
+        return draw(st.text(_LENIENT, max_size=12))
+    text = list(draw(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text[i : i + draw(st.integers(0, 1))] = draw(st.sampled_from([*_LENIENT, "0b", "0B"]))
+    return "".join(text)
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+
+
+def _parse_float_reference(token, ctx):
+    match = _FLOAT_GRAMMAR.match(token)
+    if match is None:
+        raise ParseError(f"not a binary float token: {token!r}")
+    bits, digits = match.group(1), match.group(2) or "0"
+    try:
+        exponent = int(digits)
+    except ValueError:
+        raise ParseError(f"exponent has too many digits ({len(digits)})") from None
+    return make_float(1, exponent, len(bits), bits, ctx=ctx)
+
+
+def _make_float_reference(bits):
+    if re.fullmatch("[01]*", bits) is None:
+        raise FloatValueError(f"mantissa may contain only 0 and 1: {bits!r}")
+    if bits[0] != "1":
+        raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}")
+    return make_float_from_int(1, 0, len(bits), int(bits, 2))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    token=_near_miss(st.from_regex(r"0\.[01]{1,10}(e[+-]?[0-9]{1,3})?", fullmatch=True)),
+    ctx=st.sampled_from([DEFAULT_CONTEXT, _SMALL_CTX]),
+)
+def test_parse_float_matches_the_grammar_regex(token, ctx):
+    assert _outcome(parse_float, token, ctx=ctx) == _outcome(_parse_float_reference, token, ctx)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(bits=_near_miss(st.text("01", min_size=2, max_size=10)).filter(lambda bits: len(bits) >= 2))
+def test_make_float_matches_the_digit_regex(bits):
+    assert _outcome(make_float, 1, 0, len(bits), bits) == _outcome(_make_float_reference, bits)
+
+
+@pytest.mark.parametrize("limb_width", [32, 64])
+def test_text_round_trip_at_the_precision_cap(limb_width):
+    # A 2**24-bit token through parse and format: one quadratic step at this
+    # size takes minutes.
+    m = DEFAULT_MAX_PRECISION
+    bits = format(1 << (m - 1) | random.Random(limb_width).getrandbits(m - 1), "b")
+    token = f"0.{bits}e-5"
+    ctx = Context(limb_width=limb_width)
+    t0 = time.perf_counter()
+    x = parse_float(token, ctx=ctx)
+    assert format_float(x) == token
+    assert x == make_float(1, -5, m, bits, ctx=ctx)
+    assert time.perf_counter() - t0 < 20.0
 
 
 def test_format_examples():
