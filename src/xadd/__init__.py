@@ -18,7 +18,6 @@ from .core import (
     FloatValueError,
     InvalidPrecision,
     NotNormalized,
-    get_bit,
     make_float,
     make_float_from_int,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "format_float",
     "format_special",
     "format_ternary",
-    "get_bit",
     "make_float",
     "make_float_from_int",
     "parse_fixture_line",

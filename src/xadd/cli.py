@@ -18,7 +18,8 @@ import random
 import sys
 from pathlib import Path
 
-from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, make_float_from_int
+from .core import DEFAULT_CONTEXT, DEFAULT_EMIN, DEFAULT_MAX_PRECISION, Context, Float
+from .core import FloatValueError, _clip, make_float_from_int
 from .engine import AddOutcome, add_positive
 from .oracle import exact_add_round
 from .rounding import Overflow, RoundingMode, round_to_prec
@@ -53,7 +54,7 @@ def _int_option(text: str) -> int:
     try:
         return parse_int(text)
     except ParseError:  # worded as argparse words a failed type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_clip(repr(text))}") from None
 
 
 def _result_of(outcome: AddOutcome | Overflow) -> tuple[Float | Overflow, int]:
@@ -61,45 +62,39 @@ def _result_of(outcome: AddOutcome | Overflow) -> tuple[Float | Overflow, int]:
     return (outcome if isinstance(outcome, Overflow) else outcome.result), outcome.ternary
 
 
-def _parse_operand(token: str, ctx: Context) -> Float | None:
+def _parse_operand(token: str) -> Float | SpecialValue:
     """Accept a finite value or a signed zero; reject the other specials."""
-    value = parse_token(token, ctx=ctx)
-    if isinstance(value, Float):
+    value = parse_token(token)
+    if isinstance(value, Float) or value.kind == "zero":
         return value
-    if value.kind == "zero":
-        return None
     raise ParseError(f"{token} is not a valid addend")
 
 
 def cmd_add(
-    x_token: str,
-    y_token: str | None,
-    precision: int,
-    mode: RoundingMode,
-    stats: bool,
-    *,
-    ctx: Context = DEFAULT_CONTEXT,
+    x_token: str, y_token: str | None, precision: int, mode: RoundingMode, stats: bool
 ) -> int:
     try:
-        x = _parse_operand(x_token, ctx)
-        y = _parse_operand(y_token, ctx) if y_token is not None else None
-        if x is None:
-            x, y = y, None
-        if x is None:
-            # zero + zero needs no rounding
-            print(f"{format_special(SpecialValue('zero', 1))} {format_ternary(0)}")
+        operands = [_parse_operand(token) for token in (x_token, y_token) if token is not None]
+        finite = [value for value in operands if isinstance(value, Float)]
+        if not finite:
+            # A sum of zeros needs no rounding.  Its sign follows IEEE 754
+            # section 6.3: -0 when both zeros are -0, and for zeros of unlike
+            # sign -0 under roundTowardNegative (down) only.
+            signs = [zero.sign for zero in operands]
+            sign = min(signs) if mode is RoundingMode.DOWN else max(signs)
+            print(f"{format_special(SpecialValue('zero', sign))} {format_ternary(0)}")
             return 0
-        if y is None:
-            rounded = round_to_prec(x, precision, mode, ctx=ctx)
+        if len(finite) == 1:
+            rounded = round_to_prec(finite[0], precision, mode)
         else:
-            rounded = add_positive(x, y, precision, mode, ctx=ctx)
+            rounded = add_positive(*finite, precision, mode)
     except (ParseError, FloatValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if isinstance(rounded, Overflow):
         print(format_outcome(rounded, rounded.ternary))
         return 2
-    if y is None:
+    if len(finite) == 1:
         line, bits_examined = format_outcome(*rounded), 0
     else:
         line = format_outcome(rounded.result, rounded.ternary)
@@ -135,7 +130,7 @@ def _random_exponent(rng: random.Random, ctx: Context) -> int:
     if roll == 0:
         return ctx.emax - rng.randint(0, 2)
     if roll == 1:
-        return ctx.emin + rng.randint(0, 64)
+        return DEFAULT_EMIN + rng.randint(0, 64)
     return rng.randint(-(1 << 12), 1 << 12)
 
 
@@ -166,19 +161,19 @@ def _random_case(rng: random.Random, max_prec: int, ctx: Context) -> tuple[Float
             d = rng.randint(0, p + max(m, n) + 4)
         mantissas = (_random_mantissa(rng, m), _random_mantissa(rng, n))
         sizes = (m, n)
-    e = min(max(_random_exponent(rng, ctx), ctx.emin + d), ctx.emax)
+    e = min(max(_random_exponent(rng, ctx), DEFAULT_EMIN + d), ctx.emax)
     x = make_float_from_int(1, e, sizes[0], mantissas[0], ctx=ctx)
     y = make_float_from_int(1, e - d, sizes[1], mantissas[1], ctx=ctx)
     return x, y, p
 
 
-def cmd_verify(seed: int, count: int, max_prec: int, *, ctx: Context = DEFAULT_CONTEXT) -> int:
+def cmd_verify(seed: int, count: int, max_prec: int) -> int:
     rng = random.Random(seed)
     for _ in range(count):
-        x, y, p = _random_case(rng, max_prec, ctx)
+        x, y, p = _random_case(rng, max_prec, DEFAULT_CONTEXT)
         for mode in RoundingMode:
-            got = add_positive(x, y, p, mode, ctx=ctx)
-            want = exact_add_round(x, y, p, mode, ctx=ctx)
+            got = add_positive(x, y, p, mode)
+            want = exact_add_round(x, y, p, mode)
             if _result_of(got) != _result_of(want):
                 line = format_fixture_line(x, y, p, mode, *_result_of(want))
                 print(f"{line} # engine: {format_outcome(*_result_of(got))}")
@@ -194,7 +189,7 @@ def _matches_expected(outcome: AddOutcome | Overflow, case: FixtureCase) -> bool
     return (value, ternary) == (case.expected, case.ternary)
 
 
-def cmd_check(path: str, *, ctx: Context = DEFAULT_CONTEXT) -> int:
+def cmd_check(path: str) -> int:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
@@ -204,14 +199,14 @@ def cmd_check(path: str, *, ctx: Context = DEFAULT_CONTEXT) -> int:
     mismatches = 0
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
-            case = parse_fixture_line(line, ctx=ctx)
+            case = parse_fixture_line(line)
         except ParseError as err:
             print(f"error: line {lineno}: {err}", file=sys.stderr)
             return 1
         if case is None:
             continue
         count += 1
-        outcome = add_positive(case.x, case.y, case.precision, case.mode, ctx=ctx)
+        outcome = add_positive(case.x, case.y, case.precision, case.mode)
         if _matches_expected(outcome, case):
             print(f"ok   line {lineno}")
         else:
@@ -262,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.count < 1:
             print("error: --count must be at least 1", file=sys.stderr)
             return 1
-        if not 2 <= args.max_prec <= DEFAULT_CONTEXT.max_precision:
-            print(f"error: --max-prec must be in [2, {DEFAULT_CONTEXT.max_precision}]", file=sys.stderr)
+        if not 2 <= args.max_prec <= DEFAULT_MAX_PRECISION:
+            print(f"error: --max-prec must be in [2, {DEFAULT_MAX_PRECISION}]", file=sys.stderr)
             return 1
         seed = args.seed
         if seed is None:

@@ -8,16 +8,18 @@ the precision are kept at zero so that two equal values always have equal
 storage.  `limbs_from_int` and `int_from_limbs` are the only conversions
 between that storage and Python integers.
 
-Values are immutable.  Exponent range and the precision cap are not
-properties of a value but of a :class:`Context` checked at construction.
+Values are immutable.  The precision cap `DEFAULT_MAX_PRECISION` and the
+least exponent `DEFAULT_EMIN` are constants: a sum of positive values is
+never below its larger operand, so only the largest exponent can change a
+result, and it belongs to a :class:`Context` with the limb width.
 
 Each value is validated once, by whoever builds it:
 
 - ``Float(...)`` is the validating constructor for storage given from
   outside: it checks the sign, the precision, the exponent's type and,
   limb by limb, that the mantissa is normalized.
-- `make_float` and `make_float_from_int` check the context (precision range
-  and cap, exponent range), the digits or the leading bit, and the sign.
+- `make_float` and `make_float_from_int` check the precision range, the
+  exponent range, the digits or the leading bit, and the sign.
   A mantissa written out is read once: `_bits_int` guards one
   ``int(bits, 2)``, and `make_float` and ``textio.parse_float`` share it.
 - `float_from_mantissa` is the one trusted builder of the values the
@@ -49,7 +51,7 @@ class FloatValueError(ValueError):
 
 
 class InvalidPrecision(FloatValueError):
-    """Precision is not an int in [2, max_precision] or disagrees with the bits given."""
+    """Precision is not an int in [2, DEFAULT_MAX_PRECISION] or disagrees with the bits given."""
 
 
 class NotNormalized(FloatValueError):
@@ -57,43 +59,54 @@ class NotNormalized(FloatValueError):
 
 
 class ExponentOutOfRange(FloatValueError):
-    """Exponent lies outside the configured [emin, emax] range."""
+    """Exponent lies outside [DEFAULT_EMIN, emax] of the context."""
 
 
 @dataclass(frozen=True)
 class Context:
-    """Construction-time bounds: limb width, exponent range, precision cap."""
+    """Construction-time settings: the limb width and the largest exponent."""
 
     limb_width: int = 64
-    emin: int = DEFAULT_EMIN
     emax: int = DEFAULT_EMAX
-    max_precision: int = DEFAULT_MAX_PRECISION
 
     def __post_init__(self) -> None:
         if self.limb_width not in _LIMB_WIDTHS:
             raise ValueError(f"limb_width must be one of {_LIMB_WIDTHS}")
-        if self.emin > self.emax:
+        if self.emax < DEFAULT_EMIN:
             raise ValueError("emin must not exceed emax")
-        if self.max_precision < 2:
-            raise ValueError("max_precision must be at least 2")
-
-    def check_precision(self, precision: int) -> None:
-        if not isinstance(precision, int) or isinstance(precision, bool):
-            raise InvalidPrecision(f"precision must be an int, got {precision!r}")
-        if precision < 2 or precision > self.max_precision:
-            raise InvalidPrecision(
-                f"precision must lie in [2, {self.max_precision}], got {precision}"
-            )
 
     def check_exponent(self, exponent: int) -> None:
         _check_exponent_type(exponent)
-        if not self.emin <= exponent <= self.emax:
+        if not DEFAULT_EMIN <= exponent <= self.emax:
             raise ExponentOutOfRange(
-                f"exponent {exponent} outside [{self.emin}, {self.emax}]"
+                f"exponent {_clip(format(exponent))} outside [{DEFAULT_EMIN}, {self.emax}]"
             )
 
 
 DEFAULT_CONTEXT = Context()
+
+
+# Longest quoted input an error message carries whole.
+_QUOTE_LIMIT = 80
+
+
+def _clip(text: str) -> str:
+    """`text`, the quoted form of some input, for an error message: whole up
+    to _QUOTE_LIMIT characters, else its first _QUOTE_LIMIT and its length,
+    so that a message stays short whatever the size of the input."""
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def check_precision(precision: int) -> None:
+    """Refuse a precision that is not an int in [2, DEFAULT_MAX_PRECISION]."""
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise InvalidPrecision(f"precision must be an int, got {_clip(repr(precision))}")
+    if precision < 2 or precision > DEFAULT_MAX_PRECISION:
+        raise InvalidPrecision(
+            f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got {_clip(format(precision))}"
+        )
 
 
 def _check_exponent_type(exponent: object) -> None:
@@ -169,7 +182,7 @@ class Float:
             raise InvalidPrecision(f"precision must be an int >= 2, got {self.precision!r}")
         if not mantissa_is_normalized(self.limbs, self.precision, self.limb_width):
             raise NotNormalized(
-                f"mantissa {self.limbs!r} is not a normalized "
+                f"mantissa {_clip(repr(self.limbs))} is not a normalized "
                 f"{self.precision}-bit value at width {self.limb_width}"
             )
         # The range belongs to the context; the type is checked here so that
@@ -208,7 +221,7 @@ def make_float(
     `bits` must contain exactly `precision` characters from {'0', '1'} and
     start with '1' (normalization).  The exponent is checked against `ctx`.
     """
-    ctx.check_precision(precision)
+    check_precision(precision)
     ctx.check_exponent(exponent)
     if len(bits) != precision:
         raise InvalidPrecision(
@@ -216,9 +229,9 @@ def make_float(
         )
     mantissa = _bits_int(bits)
     if mantissa is None:
-        raise FloatValueError(f"mantissa may contain only 0 and 1: {bits!r}")
+        raise FloatValueError(f"mantissa may contain only 0 and 1: {_clip(repr(bits))}")
     if bits[0] != "1":
-        raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}")
+        raise NotNormalized(f"leading mantissa bit must be 1: {_clip(repr(bits))}")
     return make_float_from_int(sign, exponent, precision, mantissa, ctx=ctx)
 
 
@@ -231,7 +244,7 @@ def make_float_from_int(
     ctx: Context = DEFAULT_CONTEXT,
 ) -> Float:
     """Build a Float from the mantissa packed into an int of `precision` bits."""
-    ctx.check_precision(precision)
+    check_precision(precision)
     ctx.check_exponent(exponent)
     x = float_from_mantissa(sign, exponent, precision, mantissa, ctx.limb_width)
     # Checked after the leading bit: an input with both faults raises NotNormalized.
@@ -257,7 +270,8 @@ def float_from_mantissa(
     """
     if mantissa >> (precision - 1) != 1:
         raise NotNormalized(
-            f"mantissa {mantissa:#x} does not have exactly {precision} bits with a leading 1"
+            f"mantissa {_clip(format(mantissa, '#x'))} does not have exactly"
+            f" {precision} bits with a leading 1"
         )
     total = limb_count(precision, limb_width) * limb_width
     limbs = limbs_from_int(mantissa << (total - precision), total, limb_width)
@@ -289,12 +303,3 @@ def int_from_limbs(limbs: tuple[int, ...], limb_width: int) -> int:
     """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer."""
     return int.from_bytes(_limb_struct(len(limbs), limb_width).pack(*limbs), "big")
 
-
-def get_bit(x: Float, i: int) -> int:
-    """Mantissa bit at 1-based position i; positions beyond the precision read as 0."""
-    if i < 1:
-        raise ValueError(f"bit positions start at 1, got {i}")
-    if i > x.precision:
-        return 0
-    w = x.limb_width
-    return (x.limbs[(i - 1) // w] >> (w - 1 - (i - 1) % w)) & 1

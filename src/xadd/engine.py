@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa, int_from_limbs
+from .core import DEFAULT_CONTEXT, Context, Float, check_precision
+from .core import float_from_mantissa, int_from_limbs
 from .rounding import Overflow, RoundingMode, check_mode, decide_round
 
 
@@ -278,7 +279,7 @@ def add_positive(
         raise ValueError("add_positive handles positive operands only")
     if x.limb_width != y.limb_width:
         raise ValueError("operands must share a limb width")
-    ctx.check_precision(precision)
+    check_precision(precision)
     check_mode(mode)
 
     a, b = _ordered(x, y)

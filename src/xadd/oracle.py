@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa
+from .core import DEFAULT_CONTEXT, Context, Float, check_precision, float_from_mantissa
 from .engine import AddOutcome, ScanStats
 from .rounding import Overflow, RoundingMode, check_mode, round_magnitude
 
@@ -64,7 +64,7 @@ def exact_add_round(
     input unconditionally and never scans."""
     if x.limb_width != y.limb_width:
         raise ValueError("operands must share a limb width")
-    ctx.check_precision(precision)
+    check_precision(precision)
     check_mode(mode)
     total = exact_add(x, y)
     mantissa, carry, ternary = round_magnitude(total.magnitude, precision, mode)

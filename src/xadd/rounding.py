@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_CONTEXT, Context, Float, float_from_mantissa
+from .core import DEFAULT_CONTEXT, Context, Float, check_precision, float_from_mantissa
 
 
 class RoundingMode(Enum):
@@ -106,7 +106,7 @@ def round_to_prec(
     """
     if x.sign < 0:
         raise ValueError("round_to_prec handles positive values only")
-    ctx.check_precision(precision)
+    check_precision(precision)
     check_mode(mode)
     w = x.limb_width
     full = x.mantissa_int() >> (len(x.limbs) * w - x.precision)  # exactly x.precision bits

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, NotNormalized
-from .core import _bits_int, make_float_from_int
+from .core import _bits_int, _clip, check_precision, make_float_from_int
 from .rounding import Overflow, RoundingMode
 
 
@@ -61,7 +61,7 @@ def parse_float(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float:
     bits, digits = (token[2:], "0") if mark < 0 else (token[2:mark], token[mark + 1 :])
     mantissa = _bits_int(bits) if token.startswith("0.") and _INT_RE.match(digits) else None
     if mantissa is None:
-        raise ParseError(f"not a binary float token: {token!r}")
+        raise ParseError(f"not a binary float token: {_clip(repr(token))}")
     try:
         exponent = int(digits)
     except ValueError:  # more digits than the interpreter converts
@@ -69,20 +69,20 @@ def parse_float(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float:
     try:
         return make_float_from_int(1, exponent, len(bits), mantissa, ctx=ctx)
     except NotNormalized:  # after the precision and exponent checks, in make_float's words
-        raise NotNormalized(f"leading mantissa bit must be 1: {bits!r}") from None
+        raise NotNormalized(f"leading mantissa bit must be 1: {_clip(repr(bits))}") from None
 
 
 def parse_int(token: str) -> int:
     """An optionally signed run of ASCII decimal digits."""
     if _INT_RE.match(token) is None:
-        raise ParseError(f"not an integer: {token!r}")
+        raise ParseError(f"not an integer: {_clip(repr(token))}")
     try:
         return int(token)
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"integer has too many digits ({len(token)})") from None
 
 
-def parse_token(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float | SpecialValue:
+def parse_token(token: str) -> Float | SpecialValue:
     """Parse either a finite value or one of the special tagged tokens."""
     special = _SPECIAL_RE.match(token)
     if special is not None:
@@ -93,7 +93,7 @@ def parse_token(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float | Specia
         if kind != "nan" and sign is None:
             raise ParseError(f"{kind} needs a sign tag, e.g. {kind}(+)")
         return SpecialValue(kind, -1 if sign == "-" else 1)
-    return parse_float(token, ctx=ctx)
+    return parse_float(token)
 
 
 def format_float(x: Float) -> str:
@@ -127,14 +127,14 @@ def parse_ternary(token: str) -> int:
     try:
         return _TERNARY[token]
     except KeyError:
-        raise ParseError(f"not a ternary token: {token!r}") from None
+        raise ParseError(f"not a ternary token: {_clip(repr(token))}") from None
 
 
 def parse_mode(token: str) -> RoundingMode:
     try:
         return RoundingMode(token)
     except ValueError:
-        raise ParseError(f"not a rounding mode: {token!r}") from None
+        raise ParseError(f"not a rounding mode: {_clip(repr(token))}") from None
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class FixtureCase:
     ternary: int
 
 
-def parse_fixture_line(line: str, *, ctx: Context = DEFAULT_CONTEXT) -> FixtureCase | None:
+def parse_fixture_line(line: str) -> FixtureCase | None:
     """Parse one fixture line; returns None for blanks and comments."""
     text = line.split("#", 1)[0].strip()
     if not text:
@@ -157,17 +157,17 @@ def parse_fixture_line(line: str, *, ctx: Context = DEFAULT_CONTEXT) -> FixtureC
     fields = text.split()
     if len(fields) != 7 or fields[4] != "->":
         raise ParseError(
-            "fixture line must read 'x y p mode -> result ternary', got: " + text
+            "fixture line must read 'x y p mode -> result ternary', got: " + _clip(text)
         )
     try:
         precision = parse_int(fields[2])
     except ParseError:
-        raise ParseError(f"not a precision: {fields[2]!r}") from None
+        raise ParseError(f"not a precision: {_clip(repr(fields[2]))}") from None
     try:
-        ctx.check_precision(precision)
-        x = parse_float(fields[0], ctx=ctx)
-        y = parse_float(fields[1], ctx=ctx)
-        expected = parse_token(fields[5], ctx=ctx)
+        check_precision(precision)
+        x = parse_float(fields[0])
+        y = parse_float(fields[1])
+        expected = parse_token(fields[5])
     except FloatValueError as err:
         raise ParseError(str(err)) from None
     if isinstance(expected, SpecialValue) and expected.kind != "overflow":
@@ -183,14 +183,9 @@ def format_fixture_line(
     precision: int,
     mode: RoundingMode,
     result: Float | Overflow,
-    ternary: int | None = None,
+    ternary: int,
 ) -> str:
-    """Render one addition as a fixture line; an Overflow supplies its own
-    ternary unless one is given explicitly."""
-    if ternary is None:
-        if not isinstance(result, Overflow):
-            raise ValueError("a finite result needs an explicit ternary")
-        ternary = result.ternary
+    """Render one addition as a fixture line."""
     return (
         f"{format_float(x)} {format_float(y)} {precision} {mode.value}"
         f" -> {format_outcome(result, ternary)}"

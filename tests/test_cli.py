@@ -95,6 +95,20 @@ def test_add_two_zeros(capsys):
     assert out == "zero(+) 0\n"
 
 
+@pytest.mark.parametrize("mode", [mode.value for mode in RoundingMode])
+@pytest.mark.parametrize(
+    "zeros",
+    [["zero(-)", "zero(-)"], ["zero(+)", "zero(-)"], ["zero(-)", "zero(+)"], ["zero(-)"], ["zero(+)"]],
+)
+def test_add_zeros_keeps_the_ieee_sign(capsys, mode, zeros):
+    # IEEE 754 section 6.3: -0 + -0 is -0, and +0 + -0 is -0 under
+    # roundTowardNegative (down) and +0 in every other mode.
+    negative = set(zeros) == {"zero(-)"} or (len(set(zeros)) == 2 and mode == "down")
+    assert run(capsys, "add", "-p", "2", "-m", mode, *zeros) == (
+        0, f"zero({'-' if negative else '+'}) 0\n", ""
+    )
+
+
 def test_add_overflow_exit_code(capsys):
     emax = 2**30 - 1
     code, out, _ = run(capsys, "add", "-p", "2", "-m", "up",
@@ -234,6 +248,21 @@ def test_check_out_of_range_precision_is_input_error(tmp_path, capsys, precision
     code, out, err = run(capsys, "check", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: line 1") and "Traceback" not in err
+
+
+def test_check_precision_over_4300_digits_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "prec.txt"
+    bad.write_text(f"0.11e0 0.10e0 {'9' * 5000} nearest -> 0.10e0 0\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: not a precision: '999") and len(err) < 200
+
+
+def test_long_option_value_is_quoted_by_its_prefix_and_length(capsys):
+    code, out, err = run(capsys, "add", "-p", "x" * 10**6, "0.10", "0.10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument -p/--prec: invalid int value: 'xxx")
+    assert "characters)" in err and len(err) < 200
 
 
 def test_check_non_utf8_file_is_input_error(tmp_path, capsys):

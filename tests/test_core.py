@@ -1,4 +1,4 @@
-"""Value representation: construction, validation, bit access."""
+"""Value representation: construction, validation, limb storage."""
 
 from fractions import Fraction
 
@@ -13,10 +13,10 @@ from xadd import (
     FloatValueError,
     InvalidPrecision,
     NotNormalized,
-    get_bit,
     make_float,
     make_float_from_int,
 )
+from xadd.core import DEFAULT_EMIN, DEFAULT_MAX_PRECISION, _clip
 from xadd.core import limb_count, limbs_from_int, mantissa_is_normalized
 
 
@@ -77,30 +77,59 @@ def test_float_rejects_an_exponent_that_is_not_an_int(exponent):
 def test_exponent_bounds_checked():
     ctx = Context()
     make_float(1, ctx.emax, 2, "10")
-    make_float(1, ctx.emin, 2, "10")
+    make_float(1, DEFAULT_EMIN, 2, "10")
     with pytest.raises(ExponentOutOfRange):
         make_float(1, ctx.emax + 1, 2, "10")
     with pytest.raises(ExponentOutOfRange):
-        make_float(1, ctx.emin - 1, 2, "10")
+        make_float(1, DEFAULT_EMIN - 1, 2, "10")
+
+
+def test_context_emax_may_not_fall_below_emin():
+    assert Context(emax=DEFAULT_EMIN).emax == DEFAULT_EMIN
+    with pytest.raises(ValueError, match="emin must not exceed emax"):
+        Context(emax=DEFAULT_EMIN - 1)
 
 
 def test_precision_cap_checked():
-    small = Context(max_precision=8)
+    p = DEFAULT_MAX_PRECISION + 1
     with pytest.raises(InvalidPrecision):
-        make_float_from_int(1, 0, 9, 1 << 8, ctx=small)
+        make_float_from_int(1, 0, p, 1 << (p - 1))
+
+
+def test_clip_quotes_up_to_80_characters_whole():
+    assert _clip("x" * 80) == "x" * 80
+    assert _clip("x" * 81) == "x" * 80 + "... (81 characters)"
+
+
+_LONG = 1 << 20
+_NINES = int("9" * 4000)
+
+
+@pytest.mark.parametrize(
+    "build, error, prefix",
+    [
+        (lambda: make_float(1, 0, _LONG, "1" * (_LONG - 1) + "x"), FloatValueError,
+         "mantissa may contain only 0 and 1: '111"),
+        (lambda: make_float(1, 0, _LONG, "0" + "1" * (_LONG - 1)), NotNormalized,
+         "leading mantissa bit must be 1: '011"),
+        (lambda: Float(1, 0, 64 * 16384, (0,) * 16384, 64), NotNormalized, "mantissa (0, 0, "),
+        (lambda: make_float_from_int(1, 0, 2, 1 << _LONG), NotNormalized, "mantissa 0x100"),
+        (lambda: make_float_from_int(1, 0, _NINES, 1), InvalidPrecision,
+         f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got 999"),
+        (lambda: make_float_from_int(1, -_NINES, 2, 2), ExponentOutOfRange, "exponent -999"),
+    ],
+    ids=["digits", "leading-bit", "limbs", "mantissa-int", "precision", "exponent"],
+)
+def test_messages_quote_a_long_input_by_its_prefix_and_length(build, error, prefix):
+    with pytest.raises(error) as raised:
+        build()
+    message = str(raised.value)
+    assert message.startswith(prefix) and "characters)" in message and len(message) < 200
 
 
 def test_negative_sign_is_representable():
     x = make_float(-1, 0, 2, "10")
     assert x.as_fraction() == Fraction(-1, 2)
-
-
-def test_get_bit_reads_and_pads():
-    x = make_float(1, 0, 3, "101")
-    assert [get_bit(x, i) for i in (1, 2, 3)] == [1, 0, 1]
-    assert get_bit(x, 7) == 0
-    with pytest.raises(ValueError):
-        get_bit(x, 0)
 
 
 @pytest.mark.parametrize("width", [32, 64])

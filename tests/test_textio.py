@@ -31,6 +31,7 @@ from xadd import (
     parse_token,
 )
 from xadd.core import DEFAULT_CONTEXT, DEFAULT_MAX_PRECISION
+from xadd.textio import parse_int
 
 
 def test_parse_with_exponent():
@@ -78,7 +79,7 @@ def test_parse_rejects_bad_syntax(bad):
 _FLOAT_GRAMMAR = re.compile(r"0\.([01]+)(?:e([+-]?[0-9]+))?\Z")
 # Every character int() treats leniently, beside the grammar's own.
 _LENIENT = "01eE.+-_bBx \t\n\x0b\x1c\u0661\u0662"
-_SMALL_CTX = Context(emax=40, max_precision=64)
+_SMALL_CTX = Context(emax=40)
 
 
 @st.composite
@@ -232,7 +233,7 @@ def test_fixture_line_round_trip():
 
 def test_fixture_line_overflow_result():
     x = make_float(1, 0, 2, "11")
-    line = format_fixture_line(x, x, 2, RoundingMode.UP, Overflow(RoundingMode.UP, 1, 1))
+    line = format_fixture_line(x, x, 2, RoundingMode.UP, Overflow(RoundingMode.UP, 1, 1), 1)
     assert line.endswith("-> overflow(+) +1")
     case = parse_fixture_line(line)
     assert case.expected == SpecialValue("overflow", 1)
@@ -266,7 +267,34 @@ def test_fixture_line_rejects_malformed(line):
         parse_fixture_line(line)
 
 
-def test_finite_fixture_result_needs_ternary():
-    x = make_float(1, 0, 2, "10")
-    with pytest.raises(ValueError):
-        format_fixture_line(x, x, 2, RoundingMode.DOWN, x)
+def test_parse_int_refuses_more_digits_than_int_converts():
+    # CPython converts at most 4300 decimal digits by default.
+    with pytest.raises(ParseError, match=r"integer has too many digits \(5000\)"):
+        parse_int("9" * 5000)
+
+
+_LONG_BITS = "1" * (1 << 20)
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, prefix",
+    [
+        (parse_float, f"0.{_LONG_BITS}x", ParseError, "not a binary float token: '0.111"),
+        (parse_float, f"0.0{_LONG_BITS}", NotNormalized, "leading mantissa bit must be 1: '011"),
+        (parse_int, "x" * 10**6, ParseError, "not an integer: 'xxx"),
+        (parse_ternary, "+" * 10**6, ParseError, "not a ternary token: '+++"),
+        (parse_mode, "d" * 10**6, ParseError, "not a rounding mode: 'ddd"),
+        (parse_fixture_line, "0.10 " * 10**5, ParseError,
+         "fixture line must read 'x y p mode -> result ternary', got: 0.10 0.10"),
+        (parse_fixture_line, f"0.10 0.10 {'9' * 5000} down -> 0.10e1 0", ParseError,
+         "not a precision: '999"),
+        (parse_fixture_line, f"0.10 0.10 2 down -> 0.0{_LONG_BITS} 0", ParseError,
+         "leading mantissa bit must be 1: '011"),
+    ],
+    ids=["token", "leading-bit", "int", "ternary", "mode", "line", "precision", "result"],
+)
+def test_messages_quote_a_long_input_by_its_prefix_and_length(parse, text, error, prefix):
+    with pytest.raises(error) as raised:
+        parse(text)
+    message = str(raised.value)
+    assert message.startswith(prefix) and "characters)" in message and len(message) < 200
