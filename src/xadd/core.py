@@ -79,7 +79,7 @@ class Context:
         _check_exponent_type(exponent)
         if not DEFAULT_EMIN <= exponent <= self.emax:
             raise ExponentOutOfRange(
-                f"exponent {_clip(format(exponent))} outside [{DEFAULT_EMIN}, {self.emax}]"
+                f"exponent {_quote(exponent)} outside [{DEFAULT_EMIN}, {self.emax}]"
             )
 
 
@@ -99,25 +99,34 @@ def _clip(text: str) -> str:
     return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
+def _quote(value: object) -> str:
+    """repr(value) through `_clip`, for an error message.  An int too long
+    for CPython to write in decimal is given by its bit length instead."""
+    try:
+        return _clip(repr(value))
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"an int of {value.bit_length()} bits"
+
+
 def check_precision(precision: int) -> None:
     """Refuse a precision that is not an int in [2, DEFAULT_MAX_PRECISION]."""
     if not isinstance(precision, int) or isinstance(precision, bool):
-        raise InvalidPrecision(f"precision must be an int, got {_clip(repr(precision))}")
+        raise InvalidPrecision(f"precision must be an int, got {_quote(precision)}")
     if precision < 2 or precision > DEFAULT_MAX_PRECISION:
         raise InvalidPrecision(
-            f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got {_clip(format(precision))}"
+            f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got {_quote(precision)}"
         )
 
 
 def _check_exponent_type(exponent: object) -> None:
     if not isinstance(exponent, int) or isinstance(exponent, bool):
-        raise ExponentOutOfRange(f"exponent must be an int, got {exponent!r}")
+        raise ExponentOutOfRange(f"exponent must be an int, got {_quote(exponent)}")
 
 
 def _check_sign(sign: object) -> None:
     # An int test as for the exponent: 1.0 and True compare equal to 1.
     if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
-        raise FloatValueError(f"sign must be +1 or -1, got {sign!r}")
+        raise FloatValueError(f"sign must be +1 or -1, got {_quote(sign)}")
 
 
 def _bits_int(bits: str) -> int | None:
@@ -178,12 +187,11 @@ class Float:
 
     def __post_init__(self) -> None:
         _check_sign(self.sign)
-        if not isinstance(self.precision, int) or self.precision < 2:
-            raise InvalidPrecision(f"precision must be an int >= 2, got {self.precision!r}")
+        check_precision(self.precision)
         if not mantissa_is_normalized(self.limbs, self.precision, self.limb_width):
             raise NotNormalized(
-                f"mantissa {_clip(repr(self.limbs))} is not a normalized "
-                f"{self.precision}-bit value at width {self.limb_width}"
+                f"mantissa {_quote(self.limbs)} is not a normalized "
+                f"{self.precision}-bit value at width {_quote(self.limb_width)}"
             )
         # The range belongs to the context; the type is checked here so that
         # no value can carry an exponent that formats as text parse rejects.
@@ -229,9 +237,9 @@ def make_float(
         )
     mantissa = _bits_int(bits)
     if mantissa is None:
-        raise FloatValueError(f"mantissa may contain only 0 and 1: {_clip(repr(bits))}")
+        raise FloatValueError(f"mantissa may contain only 0 and 1: {_quote(bits)}")
     if bits[0] != "1":
-        raise NotNormalized(f"leading mantissa bit must be 1: {_clip(repr(bits))}")
+        raise NotNormalized(f"leading mantissa bit must be 1: {_quote(bits)}")
     return make_float_from_int(sign, exponent, precision, mantissa, ctx=ctx)
 
 

@@ -7,42 +7,43 @@ weight 2**-(p+1) and a following bit fb of weight 2**-(p+2), all relative
 to the result exponent.  The error term eps collects every remaining input
 bit and satisfies 0 <= eps < 2u where u is fb's weight.
 
-The final (rounding, sticky) pair then depends only on rb, fb and how eps
-compares with 0 and u.  `_settle` reads each operand once, most significant
-first: it joins a first slice of limbs, the window's blocks plus four more,
-into one integer per operand, cuts the window sum from the two integers and
-goes on from the same two to settle eps.  It tests slices with one XNOR or
-OR; with fb = 1, equal ones only settle eps >= u and the test goes on for a
-later 1.  Further slices double, so it takes at most about twice the limbs
-that the walk to the settling position covers, and it counts what it read.
+The rounding then depends only on the window and on how eps compares with
+0 and u: `add_positive` appends that class to the window as one more digit
+in units of u/2 and rounds the tail with `rounding.round_magnitude`, the
+rounding of the integer path.  `_settle` reads each operand once, most
+significant first: it joins a first slice of limbs, the window's blocks
+plus four more, into one integer per operand, cuts the window sum from the
+two integers and goes on from the same two to settle eps.  It tests slices
+with one XNOR or OR; with fb = 1, equal ones only settle eps >= u and the
+test goes on for a later 1.  Further slices double, so it takes at most
+about twice the limbs that the walk to the settling position covers, and it
+counts what it read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 from .core import DEFAULT_CONTEXT, Context, Float, check_precision
 from .core import float_from_mantissa, int_from_limbs
-from .rounding import Overflow, RoundingMode, check_mode, decide_round
+from .rounding import Overflow, RoundingMode, check_mode, round_magnitude
 
 
-class InvalidCombination(Exception):
-    """An (rb, fb, error class) triple that no input can produce; engine bug."""
-
-
-class ErrorClass(Enum):
-    """Resolved relation of the error term to 0 and to the following bit's weight u.
+class ErrorClass(IntEnum):
+    """Resolved relation of the error term to 0 and to the following bit's
+    weight u; the value is the term in units of u/2, made odd when inexact.
 
     With fb = 0 only the comparison against 0 matters and GT_ZERO_LT_U means
-    "nonzero" (the term may reach past u).  With fb = 1 only the comparison
-    against u matters and GT_ZERO_LT_U means "below u" (possibly zero).
+    "nonzero" (the term may reach past u, never rb).  With fb = 1 only the
+    comparison against u matters and GT_ZERO_LT_U means "below u" (possibly
+    zero, as fb already makes the sum inexact).
     """
 
-    EQ_ZERO = "eq0"
-    GT_ZERO_LT_U = "gt0"
-    EQ_U = "eq_u"
-    GT_U = "gt_u"
+    EQ_ZERO = 0
+    GT_ZERO_LT_U = 1
+    EQ_U = 2
+    GT_U = 3
 
 
 @dataclass
@@ -99,14 +100,14 @@ def _join(xl: tuple[int, ...], yl: tuple[int, ...], w: int, d: int, j: int, hi: 
 
 def _settle(
     x: Float, y: Float, precision: int, d: int
-) -> tuple[int, int, int, int, int | None, ErrorClass, ScanStats]:
+) -> tuple[int, int, int | None, ErrorClass, ScanStats]:
     """Read x and y once, most significant first: cut the window sum, then
     compare the error term against 0 and the following bit's weight u.
 
     x has the larger exponent and d >= 0 is the exponent difference.
-    Returns (mantissa, exponent, rb, fb, shifted_out, error_class, stats):
-    the window sum's first p bits as a p-bit int, its exponent, the two bits
-    that follow, and the sum bit a window carry displaced (else None).  That
+    Returns (window, exponent, shifted_out, error_class, stats): the window
+    sum as a (p + 2)-bit int, whose last two bits are rb and fb, its
+    exponent, and the sum bit a window carry displaced (else None).  That
     bit belongs to the error term one position before p + 3, the first
     position the window did not consume, and moves reported positions into
     the result's mantissa frame, one below x's.
@@ -208,47 +209,13 @@ def _settle(
     # Slices only move forward, so the last one's clamped ends are each
     # operand's high-water mark.
     nx, ny, yb = len(xl), len(yl), hi - ls if hi > ls else 0
-    return total >> 2, exponent, total >> 1 & 1, fb, shifted_out, cls, ScanStats(
+    return total, exponent, shifted_out, cls, ScanStats(
         block + 1 if block < nx else nx,
         (block - ls + 1 if block - ls < ny else ny) if y_seen else 0,
         examined,
         q_found,
         (hi if hi < nx else nx) + (yb if yb < ny else ny),
     )
-
-
-# Rows: (rb, fb, error class) -> (r, s, carry into the p-bit mantissa).
-# With fb = 1 an error term at or above u closes the gap to the next
-# multiple of rb's weight, so rb flips; when rb was already 1 the carry
-# moves on into the mantissa itself.
-_COMBINE = {
-    (0, 0, ErrorClass.EQ_ZERO): (0, 0, False),
-    (0, 0, ErrorClass.GT_ZERO_LT_U): (0, 1, False),
-    (0, 1, ErrorClass.GT_ZERO_LT_U): (0, 1, False),
-    (0, 1, ErrorClass.EQ_U): (1, 0, False),
-    (0, 1, ErrorClass.GT_U): (1, 1, False),
-    (1, 0, ErrorClass.EQ_ZERO): (1, 0, False),
-    (1, 0, ErrorClass.GT_ZERO_LT_U): (1, 1, False),
-    (1, 1, ErrorClass.GT_ZERO_LT_U): (1, 1, False),
-    (1, 1, ErrorClass.EQ_U): (0, 0, True),
-    (1, 1, ErrorClass.GT_U): (0, 1, True),
-}
-
-
-def combine_rfe(rb: int, fb: int, error_class: ErrorClass) -> tuple[int, int, bool]:
-    """Fold the following bit and the error class into the final (r, s, carry).
-
-    `carry` asks the caller to add one ulp to the truncated mantissa before
-    rounding; the (r, s) pair stays valid afterwards even if that carry
-    renormalizes the mantissa, because the leftover error is far below the
-    new ulp.
-    """
-    try:
-        return _COMBINE[(rb, fb, error_class)]
-    except KeyError:
-        raise InvalidCombination(
-            f"no input can produce rb={rb}, fb={fb}, {error_class}"
-        ) from None
 
 
 def _ordered(x: Float, y: Float) -> tuple[Float, Float]:
@@ -284,19 +251,14 @@ def add_positive(
 
     a, b = _ordered(x, y)
     d = a.exponent - b.exponent
-    mantissa, exponent, rb, fb, _, error_class, stats = _settle(a, b, precision, d)
-    r, s, carry = combine_rfe(rb, fb, error_class)
-
-    mantissa += carry
-    ternary = decide_round(mode, r, s, mantissa & 1)
-    if ternary == 1:
-        mantissa += 1
-    # A wrap past 0.11..1 leaves 2**p, whose last bit is 0 as at 2**(p-1).
-    # The + 1 keeps an increment that followed a carry wrap (2**p + 1 becomes
-    # 2**(p-1) + 1); a lone wrap still halves to 2**(p-1).
-    if mantissa >> precision:
-        mantissa = (mantissa + 1) >> 1
-        exponent += 1
+    window, exponent, _, error_class, stats = _settle(a, b, precision, d)
+    # tail >> 2 is the exact sum's floor in units of 2u (rb's weight) and
+    # tail & 3 is nonzero iff anything lies below it: round_magnitude drops at
+    # least three digits and reads nothing else.  An error term of u or more
+    # can carry the all-ones window up a digit.
+    tail = (window << 1) + error_class
+    mantissa, carry, ternary = round_magnitude(tail, precision, mode)
+    exponent += carry + (tail >> (precision + 3))
     if exponent > ctx.emax:
         return Overflow(mode, 1, ternary)
 

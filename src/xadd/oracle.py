@@ -1,13 +1,12 @@
 """Reference addition path: exact integer sum, then one rounding step.
 
-This module exists to check the limb engine by a second, structurally
-unrelated route: both operands are expanded into a single unbounded integer
-each, added exactly, and the sum is rounded by `round_magnitude`, which
-extracts the rounding bit and a full OR over every lower bit.  Besides
-the value type and limb codec in `core`, the only code shared with the
-engine is the rounding decision table (`decide_round`), which both paths
-must apply identically by design; `round_magnitude` is shared with
-`round_to_prec` alone.  Clarity wins over speed throughout.
+This module exists to check the limb engine by a second route to the sum:
+both operands are expanded into a single unbounded integer each, added
+exactly, and the sum is rounded by `round_magnitude`, which extracts the
+rounding bit and a full OR over every lower bit.  Besides the value type
+and limb codec in `core`, the engine shares only that rounding, which it
+applies to its window and error class; the tests' `Fraction` rounding
+checks `round_magnitude` on its own.  Clarity wins over speed throughout.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from xadd import (
 )
 from xadd.cli import _random_case, main as cli_main
 from xadd.core import DEFAULT_CONTEXT
-from xadd.engine import ErrorClass, _ordered, _settle, combine_rfe
+from xadd.engine import ErrorClass, _ordered, _settle
 from xadd.oracle import ExactSum
 from xadd.rounding import decide_round
 from xadd.textio import parse_fixture_line
@@ -174,8 +174,9 @@ def test_01_decision_table() -> None:
 
 
 # One witness per combine row: operands at p = 4 whose window and error scan
-# land exactly on that (rb, fb, class) input, with the expected combine output
-# and the full four-mode results.  Mode order: down, up, zero, nearest.
+# land exactly on that (rb, fb, class) input, with the (r, s, carry) that the
+# rounding tail encodes and the full four-mode results.  Mode order: down,
+# up, zero, nearest.
 COMBINE_WITNESSES = [
     # (rb, fb, cls, (r, s, carry), x_bits, y_bits, d, per-mode (bits, exp, ternary))
     (0, 0, EQ0, (0, 0, False), "10", "10", 0,
@@ -206,15 +207,18 @@ def test_02_combine_table_end_to_end() -> None:
     bad = []
     rows_hit = set()
     for rb, fb, cls, (er, es, ecarry), x_bits, y_bits, d, per_mode in COMBINE_WITNESSES:
-        combined = combine_rfe(rb, fb, cls)
+        # The last three window digits and the class, in units of u/2.
+        v = 4 * rb + 2 * fb + cls
+        combined = (v >> 2 & 1, int(v & 3 != 0), v >> 3 == 1)
         if combined != (er, es, ecarry):
-            bad.append(f"combine({rb},{fb},{cls.name}) gave {combined}")
+            bad.append(f"tail of ({rb},{fb},{cls.name}) encodes {combined}")
             continue
 
         x = bits_at(0, x_bits)
         y = bits_at(-d, y_bits)
         a, b = _ordered(x, y)
-        _, _, seen_rb, seen_fb, _, seen_cls, _ = _settle(a, b, p, d)
+        window, _, _, seen_cls, _ = _settle(a, b, p, d)
+        seen_rb, seen_fb = window >> 1 & 1, window & 1
         if (seen_rb, seen_fb, seen_cls) != (rb, fb, cls):
             bad.append(
                 f"witness for ({rb},{fb},{cls.name}) lands on "

@@ -94,6 +94,8 @@ def test_precision_cap_checked():
     p = DEFAULT_MAX_PRECISION + 1
     with pytest.raises(InvalidPrecision):
         make_float_from_int(1, 0, p, 1 << (p - 1))
+    with pytest.raises(InvalidPrecision):
+        Float(1, 0, p, (1 << 63,) + (0,) * (limb_count(p, 64) - 1), 64)
 
 
 def test_clip_quotes_up_to_80_characters_whole():
@@ -125,6 +127,33 @@ def test_messages_quote_a_long_input_by_its_prefix_and_length(build, error, pref
         build()
     message = str(raised.value)
     assert message.startswith(prefix) and "characters)" in message and len(message) < 200
+
+
+_HUGE = 10**5000  # more decimal digits than CPython writes by default
+_HALF = (1 << 63,)
+
+
+@pytest.mark.parametrize(
+    "build, error, prefix",
+    [
+        (lambda: make_float_from_int(1, 0, _HUGE, 1), InvalidPrecision,
+         f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got an int of"),
+        (lambda: Float(1, 0, _HUGE, _HALF, 64), InvalidPrecision,
+         f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got an int of"),
+        (lambda: make_float_from_int(1, _HUGE, 2, 2), ExponentOutOfRange, "exponent an int of"),
+        (lambda: Float(1, "x" * 10**6, 2, _HALF, 64), ExponentOutOfRange,
+         "exponent must be an int, got 'xxx"),
+        (lambda: make_float("x" * 10**6, 0, 2, "10"), FloatValueError, "sign must be +1 or -1, got 'xxx"),
+        (lambda: Float(_HUGE, 0, 2, _HALF, 64), FloatValueError, "sign must be +1 or -1, got an int of"),
+        (lambda: Float(1, 0, 2, _HALF, _HUGE), NotNormalized, "mantissa (9223372036854775808,)"),
+    ],
+    ids=["precision", "float-precision", "exponent", "exponent-type", "sign-type", "sign", "limb-width"],
+)
+def test_messages_stay_short_for_a_huge_int_or_a_long_non_int(build, error, prefix):
+    with pytest.raises(error) as raised:
+        build()
+    message = str(raised.value)
+    assert message.startswith(prefix) and len(message) < 200
 
 
 def test_negative_sign_is_representable():

@@ -86,6 +86,19 @@ def test_round_magnitude_full_carry_renormalizes():
     assert round_magnitude(0b11111, 4, RoundingMode.UP) == (0b1000, 1, 1)
 
 
+def test_round_magnitude_matches_rational_reference_exhaustively():
+    # The engine, the oracle and round_to_prec all round through
+    # round_magnitude, so their agreement cannot catch a fault in it; the
+    # rational reference shares no code with it.  Magnitudes no longer than
+    # the precision are padded exactly.
+    for mode in RoundingMode:
+        for p in range(2, 11):
+            for magnitude in range(1, 1 << 11):
+                mantissa, carry, ternary = round_magnitude(magnitude, p, mode)
+                exponent = magnitude.bit_length() + carry
+                assert (mantissa, exponent, ternary) == frac_round(Fraction(magnitude), p, mode)
+
+
 def test_round_to_prec_increment_overflows_at_emax():
     ctx = Context(emax=40)
     x = make_float(1, 40, 3, "111", ctx=ctx)
