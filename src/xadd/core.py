@@ -6,7 +6,10 @@ are no subnormals.  Mantissa bits are stored in an array of machine-word
 limbs, most significant limb first; bits of the lowest limb that lie below
 the precision are kept at zero so that two equal values always have equal
 storage.  `limbs_from_int` and `int_from_limbs` are the only conversions
-between that storage and Python integers.
+between that storage and Python integers: runs of at most `_SHIFT_LIMBS`
+(4) limbs are joined with shifts, and splits into 1 or 2 limbs are made
+with shifts, so that a machine-size add never packs a struct; longer runs
+go through one struct call.
 
 Values are immutable.  The precision cap `DEFAULT_MAX_PRECISION` and the
 least exponent `DEFAULT_EMIN` are constants: a sum of positive values is
@@ -293,21 +296,36 @@ def float_from_mantissa(
     return x
 
 
+# Longest limb run joined by shifts.  A shift-or loop copies the growing
+# int once per limb, so it is quadratic in the run's length: longer runs go
+# through one struct pack and one from_bytes, linear at any length.
+_SHIFT_LIMBS = 4
+
+
 @lru_cache(maxsize=256)
 def _limb_struct(count: int, limb_width: int) -> struct.Struct:
-    # Compiled once per length: the engine converts short slices on every
-    # call, where building and looking up the format string costs more than
-    # the packing.
+    # Compiled once per length, for runs longer than _SHIFT_LIMBS (joins) or
+    # two limbs (splits): shorter ones, every machine-size add's, go by
+    # shifts, which cost less than this lookup alone.
     return struct.Struct(f">{count}{_LIMB_CODES[limb_width]}")
 
 
 def limbs_from_int(value: int, total_bits: int, limb_width: int) -> tuple[int, ...]:
     """Split a `total_bits`-wide integer into limbs, most significant first."""
+    count = total_bits // limb_width
+    if count == 1:
+        return (value,)
+    if count == 2:
+        return (value >> limb_width, value & ((1 << limb_width) - 1))
     raw = value.to_bytes(total_bits // 8, "big")
-    return _limb_struct(total_bits // limb_width, limb_width).unpack(raw)
+    return _limb_struct(count, limb_width).unpack(raw)
 
 
 def int_from_limbs(limbs: tuple[int, ...], limb_width: int) -> int:
     """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer."""
+    if len(limbs) <= _SHIFT_LIMBS:
+        value = 0
+        for limb in limbs:
+            value = value << limb_width | limb
+        return value
     return int.from_bytes(_limb_struct(len(limbs), limb_width).pack(*limbs), "big")
-

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_CONTEXT, Context, Float, check_precision, float_from_mantissa
+from .core import DEFAULT_CONTEXT, Context, Float, _quote, check_precision, float_from_mantissa
 
 
 class RoundingMode(Enum):
@@ -51,7 +51,7 @@ class Overflow:
 def check_mode(mode: RoundingMode) -> None:
     """Reject a mode that is not a RoundingMode; the table would read it as Down."""
     if not isinstance(mode, RoundingMode):
-        raise ValueError(f"not a rounding mode: {mode!r}")
+        raise ValueError(f"not a rounding mode: {_quote(mode)}")
 
 
 def decide_round(mode: RoundingMode, r: int, s: int, last_bit: int) -> int:

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, NotNormalized
-from .core import _bits_int, _clip, check_precision, make_float_from_int
+from .core import _bits_int, _clip, _quote, check_precision, make_float_from_int
 from .rounding import Overflow, RoundingMode
 
 
@@ -110,7 +110,7 @@ def format_special(value: SpecialValue) -> str:
 
 def format_ternary(ternary: int) -> str:
     if ternary not in (-1, 0, 1):
-        raise ValueError(f"ternary must be -1, 0 or +1, got {ternary!r}")
+        raise ValueError(f"ternary must be -1, 0 or +1, got {_quote(ternary)}")
     return {-1: "-1", 0: "0", 1: "+1"}[ternary]
 
 

@@ -1,5 +1,7 @@
 """Value representation: construction, validation, limb storage."""
 
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,15 @@ from xadd import (
     FloatValueError,
     InvalidPrecision,
     NotNormalized,
+    RoundingMode,
+    add_positive,
     make_float,
     make_float_from_int,
+    round_to_prec,
 )
 from xadd.core import DEFAULT_EMIN, DEFAULT_MAX_PRECISION, _clip
-from xadd.core import limb_count, limbs_from_int, mantissa_is_normalized
+from xadd.core import int_from_limbs, limb_count, limbs_from_int, mantissa_is_normalized
+from xadd.textio import format_ternary
 
 
 def test_make_float_half():
@@ -105,6 +111,7 @@ def test_clip_quotes_up_to_80_characters_whole():
 
 _LONG = 1 << 20
 _NINES = int("9" * 4000)
+_TWO = make_float(1, 2, 2, "10")
 
 
 @pytest.mark.parametrize(
@@ -119,8 +126,14 @@ _NINES = int("9" * 4000)
         (lambda: make_float_from_int(1, 0, _NINES, 1), InvalidPrecision,
          f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got 999"),
         (lambda: make_float_from_int(1, -_NINES, 2, 2), ExponentOutOfRange, "exponent -999"),
+        (lambda: add_positive(_TWO, _TWO, 2, "x" * 10**6), ValueError, "not a rounding mode: 'xxx"),
+        (lambda: round_to_prec(_TWO, 2, "y" * 10**6), ValueError, "not a rounding mode: 'yyy"),
+        (lambda: format_ternary("z" * 10**6), ValueError, "ternary must be -1, 0 or +1, got 'zzz"),
     ],
-    ids=["digits", "leading-bit", "limbs", "mantissa-int", "precision", "exponent"],
+    ids=[
+        "digits", "leading-bit", "limbs", "mantissa-int", "precision", "exponent",
+        "add-mode", "round-mode", "ternary",
+    ],
 )
 def test_messages_quote_a_long_input_by_its_prefix_and_length(build, error, prefix):
     with pytest.raises(error) as raised:
@@ -203,9 +216,23 @@ def test_validator_rejects_cleared_top_bit():
     assert not mantissa_is_normalized((1 << 62,), 2, 64)
 
 
-def test_limbs_from_int_msb_first():
-    assert limbs_from_int(1 << 64, 128, 64) == (1, 0)
-    assert limbs_from_int(3, 64, 32) == (0, 3)
+@pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
+@pytest.mark.parametrize("count", range(10))
+@pytest.mark.parametrize("width", [32, 64])
+def test_limbs_from_int_msb_first(width, count, fill):
+    # Runs of up to 4 limbs are joined, and runs of 1 or 2 split, by shifts;
+    # longer ones by struct.  Both must give what one big-endian struct call
+    # over the whole run gives.
+    code = f">{count}{'I' if width == 32 else 'Q'}"
+    rng = random.Random(width * 100 + count)
+    draw = {"zeros": lambda: 0, "ones": lambda: (1 << width) - 1}.get(fill, lambda: rng.getrandbits(width))
+    want = tuple(draw() for _ in range(count))
+    value = int.from_bytes(struct.pack(code, *want), "big")
+    limbs = limbs_from_int(value, count * width, width)
+    assert limbs == struct.unpack(code, value.to_bytes(count * width // 8, "big")) == want
+    assert type(limbs) is tuple and all(type(limb) is int for limb in limbs)
+    assert int_from_limbs(limbs, width) == value
+    assert type(int_from_limbs(limbs, width)) is int
 
 
 def test_float_equality_is_structural():

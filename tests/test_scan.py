@@ -20,6 +20,7 @@ import pytest
 from xadd import (
     DEFAULT_MAX_PRECISION,
     Context,
+    Float,
     Overflow,
     RoundingMode,
     add_positive,
@@ -299,6 +300,89 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     # fb = 0, and y's tail below the window settles the class at bit 6.
     assert out.stats.trailing_bits_examined == 6
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_machine_size_add_packs_no_struct(w, monkeypatch):
+    # A 53-bit add joins at most 4 limbs per operand and splits its result
+    # into 1 or 2: all by shifts.  A scan-sized add still joins its long
+    # slices through struct.
+    import xadd.core
+
+    calls = []
+    compile_struct = xadd.core._limb_struct
+    monkeypatch.setattr(
+        xadd.core, "_limb_struct", lambda count, width: calls.append(count) or compile_struct(count, width)
+    )
+    ctx = Context(limb_width=w)
+    rng = random.Random(53)
+    x = make_float_from_int(1, 0, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
+    y = make_float_from_int(1, -20, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
+    m = 1 << 14
+    xm = rng.getrandbits(m) | 1 << (m - 1)
+    lx = make_float_from_int(1, 0, m, xm, ctx=ctx)
+    ly = make_float_from_int(1, -1, m - 1, ~xm & ((1 << (m - 1)) - 1) | 1 << (m - 2), ctx=ctx)
+    calls.clear()
+    out = add_positive(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    assert calls == []
+    want = exact_add_round(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    assert (out.result, out.ternary) == (want.result, want.ternary)
+    calls.clear()
+    out = add_positive(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    assert out.stats.trailing_bits_examined > m - 100
+    assert calls and max(calls) > 4
+
+
+class _Recording(tuple):
+    """Limbs that record the highest index taken from them, plus one."""
+
+    reach = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, _ = key.indices(len(self))
+            reach = stop if stop > start else 0
+        else:
+            reach = range(len(self))[key] + 1
+        self.reach = max(self.reach, reach)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.reach = len(self)
+        return super().__iter__()
+
+
+def _recorded(x):
+    limbs = _Recording(x.limbs)
+    rx = Float(x.sign, x.exponent, x.precision, limbs, x.limb_width)
+    limbs.reach = 0  # the constructor's own checks are not the engine's reads
+    return rx, limbs
+
+
+def test_limbs_touched_counts_every_limb_the_engine_takes():
+    # Each operand's storage records the limbs actually taken: their sum is
+    # limbs_touched, and the logical read counts never exceed it.
+    def cases():
+        yield from _golden_cases()
+        rng = random.Random(2005)
+        for w in (32, 64):
+            ctx = Context(limb_width=w)
+            for _ in range(1500):
+                yield (*_random_case(rng, 300, ctx), rng.choice(ALL_MODES), ctx)
+
+    checked = 0
+    for x, y, p, mode, ctx in cases():
+        (rx, xs), (ry, ys) = _recorded(x), _recorded(y)
+        for a, b in ((rx, ry), (ry, rx)):
+            xs.reach = ys.reach = 0
+            out = add_positive(a, b, p, mode, ctx=ctx)
+            if isinstance(out, Overflow):
+                continue
+            s = out.stats
+            assert xs.reach + ys.reach == s.limbs_touched
+            assert s.limbs_touched >= s.x_limbs_read + s.y_limbs_read
+            checked += 1
+    assert checked > 9000
 
 
 @pytest.mark.parametrize("w", [32, 64])
