@@ -284,8 +284,11 @@ def float_from_mantissa(
             f"mantissa {_clip(format(mantissa, '#x'))} does not have exactly"
             f" {precision} bits with a leading 1"
         )
-    total = limb_count(precision, limb_width) * limb_width
-    limbs = limbs_from_int(mantissa << (total - precision), total, limb_width)
+    if precision <= limb_width:
+        limbs = (mantissa << (-precision % limb_width),)
+    else:
+        total = limb_count(precision, limb_width) * limb_width
+        limbs = limbs_from_int(mantissa << (total - precision), total, limb_width)
     x = object.__new__(Float)
     set_sign, set_exponent, set_precision, set_limbs, set_width = _SLOT_SETTERS
     set_sign(x, sign)

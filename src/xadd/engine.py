@@ -13,7 +13,9 @@ in units of u/2 and rounds the tail with `rounding.round_magnitude`, the
 rounding of the integer path.  `_settle` reads each operand once, most
 significant first: it joins a first slice of limbs, the window's blocks
 plus four more, into one integer per operand, cuts the window sum from the
-two integers and goes on from the same two to settle eps.  It tests slices
+two integers and goes on from the same two to settle eps.  When both
+operands end inside that slice, as a machine-size add's do, it joins each
+whole, a one-limb operand as its limb, without slicing.  It tests slices
 with one XNOR or OR; with fb = 1, equal ones only settle eps >= u and the
 test goes on for a later 1.  Further slices double, so it takes at most
 about twice the limbs that the walk to the settling position covers, and it
@@ -46,7 +48,12 @@ class ErrorClass(IntEnum):
     GT_U = 3
 
 
-@dataclass
+# The members as module globals: `_settle` reads each on the hot path, where
+# a global costs a fraction of an Enum class-attribute lookup.
+EQ_ZERO, GT_ZERO_LT_U, EQ_U, GT_U = ErrorClass
+
+
+@dataclass(slots=True)
 class ScanStats:
     """How much input the engine consulted.
 
@@ -60,7 +67,9 @@ class ScanStats:
     highest index sliced from each operand plus one, summed.  The first
     slice spans the window and four blocks past it, and later slices double,
     so per operand it runs ahead of the read count by at most the blocks
-    scanned plus a few, even when the window alone settles the class.
+    scanned plus a few, even when the window alone settles the class.  When
+    both operands end inside the first slice, each is taken whole, and the
+    count is their two limb counts, the slice's ends clamped as before.
     """
 
     x_limbs_read: int = 0
@@ -108,6 +117,17 @@ def _join(xl: tuple[int, ...], yl: tuple[int, ...], w: int, d: int, j: int, hi: 
     return xv, yv << shift if shift >= 0 else yv >> -shift
 
 
+def _join_whole(xl: tuple[int, ...], yl: tuple[int, ...], w: int, d: int, top: int) -> tuple[int, int]:
+    """What `_join(xl, yl, w, d, 0, hi)` returns, with top = hi * w, when both
+    operands end by x-frame position top: then the slice holds each operand
+    whole, so each is joined without slicing, a one-limb operand as its limb.
+    Shifting y right drops only its last limb's zero padding."""
+    xv = xl[0] if len(xl) == 1 else int_from_limbs(xl, w)
+    yv = yl[0] if len(yl) == 1 else int_from_limbs(yl, w)
+    shift = top - d - len(yl) * w
+    return xv << (top - len(xl) * w), yv << shift if shift >= 0 else yv >> -shift
+
+
 def _settle(
     x: Float, y: Float, precision: int, d: int
 ) -> tuple[int, int, int | None, ErrorClass, ScanStats]:
@@ -132,18 +152,23 @@ def _settle(
     mantissa no digit 2 can form, so the search for equal bits stops at the
     shorter operand's end.
 
-    The first slice spans the window's blocks and _FIRST_SLICE more; each is
-    tested with one XNOR or OR, going on with OR in the same slice after
+    The first slice spans the window's blocks and _FIRST_SLICE more: when
+    both operands end inside it, `_join_whole` joins each one whole, else
+    `_join` slices them.  Each slice is tested with one XNOR or OR, going on with OR in the same slice after
     equal ones.  The stats charge what a walk one block at a time would
     consult up to the settling position, the window's limbs at least.
     """
     w = x.limb_width
     xl, yl = x.limbs, y.limbs
+    m, n = x.precision, y.precision
     window = precision + 2
     ls = d // w
     hi = window // w + _FIRST_SLICE
     top = hi * w
-    xv, yv = _join(xl, yl, w, d, 0, hi)
+    if m <= top and d + n <= top:
+        xv, yv = _join_whole(xl, yl, w, d, top)
+    else:
+        xv, yv = _join(xl, yl, w, d, 0, hi)
     total = (xv >> (top - window)) + (yv >> (top - window))
     exponent = x.exponent
     shifted_out = None
@@ -165,18 +190,18 @@ def _settle(
             # With fb = 0 a displaced 1 makes the term positive.  With fb = 1
             # a displaced 0 is a digit 0 ahead of every remaining input bit:
             # nothing below can close the gap up to u.
-            cls = ErrorClass.GT_ZERO_LT_U
+            cls = GT_ZERO_LT_U
             if fb:
                 q_found = window + 1
     elif fb == 0 and d >= window:
         # y lies wholly below the window; its leading 1 makes the error term
         # positive without any of its bits being read.
-        cls = ErrorClass.GT_ZERO_LT_U
+        cls = GT_ZERO_LT_U
     if cls is None:
         # With fb = 0 every scanned position now lies inside at least one
         # operand: y overlaps the window, so no empty gap between them is
         # crossed.
-        m, y_end = x.precision, d + y.precision
+        y_end = d + n
         agree = fb == 1
         end = min(m, y_end) if agree else max(m, y_end)
         pos, bits = window + 1, 0
@@ -210,11 +235,11 @@ def _settle(
             block = (settled - 1) // w
             y_seen = block >= ls
         if not fb:
-            cls = ErrorClass.GT_ZERO_LT_U if bits else ErrorClass.EQ_ZERO
+            cls = GT_ZERO_LT_U if bits else EQ_ZERO
         elif agree:  # equal zeros at q, or no agreeing pair at all
-            cls = ErrorClass.GT_ZERO_LT_U
+            cls = GT_ZERO_LT_U
         else:
-            cls = ErrorClass.GT_U if bits else ErrorClass.EQ_U
+            cls = GT_U if bits else EQ_U
 
     # Slices only move forward, so the last one's clamped ends are each
     # operand's high-water mark.

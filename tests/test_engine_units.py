@@ -6,6 +6,7 @@ arithmetic and exact rational evaluation; the checks in
 random inputs.
 """
 
+import random
 from collections import namedtuple
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xadd import RoundingMode, add_positive, make_float
-from xadd.engine import ErrorClass, _settle
+from xadd import Context, RoundingMode, add_positive, exact_add_round, make_float, make_float_from_int
+from xadd.engine import _FIRST_SLICE, ErrorClass, ScanStats, _join, _join_whole, _ordered, _settle
 
 from .helpers import pow2
 
@@ -257,6 +258,94 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
     )
     assert t.cls is cls
     assert t.stats.trailing_bits_examined <= m + n
+
+
+# --- the whole-operand join ----------------------------------------------
+
+
+def _first_slice(x, y, p, d):
+    """The first slice's (hi, top) and whether `_settle` joins x and y whole."""
+    w = x.limb_width
+    hi = (p + 2) // w + _FIRST_SLICE
+    top = hi * w
+    return hi, top, x.precision <= top and d + y.precision <= top
+
+
+def _assert_whole_join_matches_join(x, y, p, d):
+    hi, top, whole = _first_slice(x, y, p, d)
+    assert whole
+    xl, yl, w = x.limbs, y.limbs, x.limb_width
+    assert _join_whole(xl, yl, w, d, top) == _join(xl, yl, w, d, 0, hi)
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_whole_operand_join_matches_join_over_the_small_domain(w):
+    # Every (m, n, d, p) shape of acceptance check 3's exhaustive domain takes
+    # the whole-operand join, which must give _join's two ints exactly.
+    ctx = Context(limb_width=w)
+    rng = random.Random(w)
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for d in range(17):
+                x = make_float_from_int(1, 0, m, 1 << (m - 1) | rng.getrandbits(m - 1), ctx=ctx)
+                y = make_float_from_int(1, -d, n, 1 << (n - 1) | rng.getrandbits(n - 1), ctx=ctx)
+                for p in range(2, 9):
+                    _assert_whole_join_matches_join(x, y, p, d)
+
+
+@pytest.mark.parametrize("w", [32, 64])
+@pytest.mark.parametrize("p", [2, 29, 30, 31, 53, 62, 63, 64, 126])
+def test_whole_operand_join_at_the_branch_edge(w, p):
+    # y ends one bit before, at or one bit past the first slice's end, and x
+    # ends at or one bit past it.  Inside, the whole-operand join equals
+    # _join; on every side the add agrees with the oracle.
+    ctx = Context(limb_width=w)
+    top = ((p + 2) // w + _FIRST_SLICE) * w
+    rng = random.Random(p * w)
+    gaps = sorted({0, 1, p, p + 2, p + 3, w - 1, w, w + 1, top - 3})
+    inside = 0
+    for m in (top, top + 1):
+        for y_end in (top - 1, top, top + 1):
+            for d in gaps:
+                n = y_end - d
+                x = make_float_from_int(1, 0, m, 1 << (m - 1) | rng.getrandbits(m - 1), ctx=ctx)
+                y = make_float_from_int(1, -d, n, 1 << (n - 1) | rng.getrandbits(n - 1), ctx=ctx)
+                if _first_slice(x, y, p, d)[2]:
+                    _assert_whole_join_matches_join(x, y, p, d)
+                    inside += 1
+                for mode in RoundingMode:
+                    got = add_positive(x, y, p, mode, ctx=ctx)
+                    want = exact_add_round(x, y, p, mode, ctx=ctx)
+                    assert (got.result, got.ternary) == (want.result, want.ternary)
+    assert inside == 2 * len(gaps)  # m = top with y ending at top - 1 or top
+
+
+def test_settle_returns_error_class_members():
+    # _settle assigns its class from module globals bound to the members; they
+    # must stay ErrorClass members, not bare ints.
+    from .test_scan import _golden_cases
+
+    for x, y, p, _, _ in _golden_cases():
+        a, b = _ordered(x, y)
+        assert type(_settle(a, b, p, a.exponent - b.exponent)[3]) is ErrorClass
+
+
+def test_scan_stats_keeps_its_defaults_and_stays_assignable():
+    s = ScanStats()
+    assert (s.x_limbs_read, s.y_limbs_read, s.trailing_bits_examined, s.q_found_at, s.limbs_touched) == (
+        0,
+        0,
+        0,
+        None,
+        0,
+    )
+    assert not hasattr(s, "__dict__")
+    s.q_found_at = 7
+    s.limbs_touched += 2
+    assert s == ScanStats(q_found_at=7, limbs_touched=2)
+    assert repr(s) == (
+        "ScanStats(x_limbs_read=0, y_limbs_read=0, trailing_bits_examined=0, q_found_at=7, limbs_touched=2)"
+    )
 
 
 # --- the (rb, fb, error class) rows ---------------------------------------

@@ -280,16 +280,19 @@ def test_equal_ones_switch_boundaries(w, name):
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
-    # The window and the first scan slice come from the same two joined
-    # ints: one int_from_limbs call per operand, where joining the window
-    # and then the scan's first slice apart took four.
+    # Both 53-bit operands lie inside the first slice, so _settle joins each
+    # whole without _join: one 2-limb int_from_limbs call per operand at
+    # w = 32, none at w = 64, where each operand is its one limb.  The window
+    # and the scan read the same two ints.  An add whose operands reach past
+    # the first slice still slices them through _join.
     import xadd.engine
 
-    calls = []
-    join = xadd.engine.int_from_limbs
+    calls, joins = [], []
+    join, slice_join = xadd.engine.int_from_limbs, xadd.engine._join
     monkeypatch.setattr(
         xadd.engine, "int_from_limbs", lambda limbs, width: calls.append(limbs) or join(limbs, width)
     )
+    monkeypatch.setattr(xadd.engine, "_join", lambda *args: joins.append(args[3:]) or slice_join(*args))
     ctx = Context(limb_width=w)
     rng = random.Random(53)
     x = make_float_from_int(1, 0, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
@@ -299,7 +302,18 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     assert (out.result, out.ternary) == (want.result, want.ternary)
     # fb = 0, and y's tail below the window settles the class at bit 6.
     assert out.stats.trailing_bits_examined == 6
-    assert len(calls) == 2
+    assert len(calls) == {32: 2, 64: 0}[w]
+    assert joins == []
+
+    m = 1 << 14
+    xm = rng.getrandbits(m) | 1 << (m - 1)
+    lx = make_float_from_int(1, 0, m, xm, ctx=ctx)
+    ly = make_float_from_int(1, -1, m - 1, ~xm & ((1 << (m - 1)) - 1) | 1 << (m - 2), ctx=ctx)
+    out = add_positive(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    want = exact_add_round(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    assert (out.result, out.ternary) == (want.result, want.ternary)
+    assert out.stats.trailing_bits_examined > m - 100
+    assert joins and joins[0] == (1, 0, 55 // w + 4)  # (d, j, hi) of the first slice
 
 
 @pytest.mark.parametrize("w", [32, 64])
