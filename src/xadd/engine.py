@@ -143,7 +143,8 @@ def _settle(
     the result's mantissa frame, one below x's.
 
     A displaced bit unequal to fb settles the class unread, and so does,
-    with fb = 0, y lying wholly below the window.  Otherwise the bits from
+    with fb = 0, y lying wholly below the window, or, with fb = 1, y
+    starting past x's last bit, where no digit sum reaches 2.  Otherwise the bits from
     p + 3 on settle it (missing bits read as 0).  With fb = 0 any 1 up to
     the longer operand's end makes the term positive.  With fb = 1 the digit
     sums x_i + y_(i-d) are all 1 exactly while the comparison with u stays
@@ -196,6 +197,10 @@ def _settle(
     elif fb == 0 and d >= window:
         # y lies wholly below the window; its leading 1 makes the error term
         # positive without any of its bits being read.
+        cls = GT_ZERO_LT_U
+    elif fb and d >= m:
+        # y starts past x's last bit, so every digit sum is at most 1: no
+        # two equal ones can lift the error term to u, and none is read.
         cls = GT_ZERO_LT_U
     if cls is None:
         # With fb = 0 every scanned position now lies inside at least one

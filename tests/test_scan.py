@@ -4,8 +4,10 @@
 counters included, over a fixed seeded set whose operand tails keep the
 error class open for up to about 4400 bits: complement tails (the fb = 1
 pair scan), identical tails and zero tails (the trailing-one scan).  The
-digest was recorded from the limb-at-a-time scan, so any change to a
-result, a ternary or a logical count fails it.
+digest was recorded from the limb-at-a-time scan and recorded again when
+fb = 1 with y starting past x's end came to settle unread (52 of its 6400
+outcomes read less, none more), so any change to a result, a ternary or a
+logical count fails it.
 `test_equal_ones_switch_boundaries` pins fb = 1 cases whose first agreeing
 pair is two ones, where the scan turns into the trailing-one test: at a
 slice's end, at an operand's end, and with the trailing 1 near or far.
@@ -32,7 +34,7 @@ from xadd.cli import _random_case, _random_exponent, _random_mantissa
 from xadd.core import mantissa_is_normalized
 
 ALL_MODES = list(RoundingMode)
-GOLDEN_DIGEST = "4ee41fe4f9ba97e00198a6c5baecc41210492b78d540aee16413373ca09d9e28"
+GOLDEN_DIGEST = "d445068d501064ef86b640bcbe79cba506455486f8b1a1a5e478685841ff8dbd"
 
 
 def _long_tail_case(rng: random.Random, ctx: Context):
@@ -195,6 +197,31 @@ def test_complement_scan_runs_to_the_last_bit_at_the_precision_cap(w):
         assert got.stats.trailing_bits_examined >= m - p - 3
         assert got.stats.q_found_at is None
     assert time.perf_counter() - t0 < 20.0
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_y_past_x_end_settles_unread_at_the_precision_cap(w):
+    # fb = 1 from x's all-ones tail, and y starts five bits past x's end, so
+    # no digit sum can reach 2: the class is "below u" with no trailing bit
+    # read, where a scan for equal bits would walk all of x's 2^24 ones.
+    ctx = Context(limb_width=w)
+    m, p = DEFAULT_MAX_PRECISION, 53
+    d = m + 5
+    x = make_float_from_int(1, 0, m, (1 << m) - 1, ctx=ctx)
+    y = make_float_from_int(1, -d, 2, 0b11, ctx=ctx)
+    times = []
+    for a, b in ((x, y), (y, x)):
+        for mode in ALL_MODES:
+            t0 = time.perf_counter()
+            got = add_positive(a, b, p, mode, ctx=ctx)
+            times.append(time.perf_counter() - t0)
+            want = exact_add_round(a, b, p, mode, ctx=ctx)
+            assert (got.result, got.ternary) == (want.result, want.ternary)
+            s = got.stats
+            assert (s.y_limbs_read, s.trailing_bits_examined, s.q_found_at) == (0, 0, None)
+            assert s.x_limbs_read == 54 // w + 1  # the window's limbs
+    # The scan took about 23 ms per add; the settled add takes about 0.1 ms.
+    assert min(times) < 0.005
 
 
 def _equal_ones_case(w: int, q: int, x_end: int, y_end: int, one_at: int | None):
