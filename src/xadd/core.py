@@ -5,11 +5,12 @@ mantissa is a pure fraction in [1/2, 1), there is no hidden bit and there
 are no subnormals.  Mantissa bits are stored in an array of machine-word
 limbs, most significant limb first; bits of the lowest limb that lie below
 the precision are kept at zero so that two equal values always have equal
-storage.  `limbs_from_int` and `int_from_limbs` are the only conversions
-between that storage and Python integers: runs of at most `_SHIFT_LIMBS`
-(4) limbs are joined with shifts, and splits into 1 or 2 limbs are made
-with shifts, so that a machine-size add never packs a struct; longer runs
-go through one struct call.
+storage.  `limbs_from_int` and `int_from_limbs` convert between that
+storage and Python integers: runs of at most `_SHIFT_LIMBS` (4) limbs are
+joined with shifts, and splits into 2 limbs are made with shifts, so that a
+machine-size add never packs a struct; longer runs go through one struct
+call.  A one-limb mantissa needs no conversion: `float_from_mantissa`
+stores it padded as its limb, and ``engine._settle`` reads the limb.
 
 Values are immutable.  The precision cap `DEFAULT_MAX_PRECISION` and the
 least exponent `DEFAULT_EMIN` are constants: a sum of positive values is
@@ -284,7 +285,7 @@ def float_from_mantissa(
             f"mantissa {_clip(format(mantissa, '#x'))} does not have exactly"
             f" {precision} bits with a leading 1"
         )
-    if precision <= limb_width:
+    if precision <= limb_width:  # one limb: the mantissa padded with zeros
         limbs = (mantissa << (-precision % limb_width),)
     else:
         total = limb_count(precision, limb_width) * limb_width
@@ -308,16 +309,14 @@ _SHIFT_LIMBS = 4
 @lru_cache(maxsize=256)
 def _limb_struct(count: int, limb_width: int) -> struct.Struct:
     # Compiled once per length, for runs longer than _SHIFT_LIMBS (joins) or
-    # two limbs (splits): shorter ones, every machine-size add's, go by
-    # shifts, which cost less than this lookup alone.
+    # other than two limbs (splits): shorter ones, every machine-size add's,
+    # go by shifts, which cost less than this lookup alone.
     return struct.Struct(f">{count}{_LIMB_CODES[limb_width]}")
 
 
 def limbs_from_int(value: int, total_bits: int, limb_width: int) -> tuple[int, ...]:
     """Split a `total_bits`-wide integer into limbs, most significant first."""
     count = total_bits // limb_width
-    if count == 1:
-        return (value,)
     if count == 2:
         return (value >> limb_width, value & ((1 << limb_width) - 1))
     raw = value.to_bytes(total_bits // 8, "big")

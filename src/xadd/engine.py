@@ -68,8 +68,8 @@ class ScanStats:
     slice spans the window and four blocks past it, and later slices double,
     so per operand it runs ahead of the read count by at most the blocks
     scanned plus a few, even when the window alone settles the class.  When
-    both operands end inside the first slice, each is taken whole, and the
-    count is their two limb counts, the slice's ends clamped as before.
+    both operands end inside the first slice, each is taken whole: the count
+    is their two limb counts, which the slice's clamped ends equal.
     """
 
     x_limbs_read: int = 0
@@ -144,20 +144,21 @@ def _settle(
 
     A displaced bit unequal to fb settles the class unread, and so does,
     with fb = 0, y lying wholly below the window, or, with fb = 1, y
-    starting past x's last bit, where no digit sum reaches 2.  Otherwise the bits from
-    p + 3 on settle it (missing bits read as 0).  With fb = 0 any 1 up to
-    the longer operand's end makes the term positive.  With fb = 1 the digit
-    sums x_i + y_(i-d) are all 1 exactly while the comparison with u stays
-    open; the first two equal bits settle it, zeros below u and ones at or
-    above, and then any 1 after them puts it above.  Past the end of either
-    mantissa no digit 2 can form, so the search for equal bits stops at the
-    shorter operand's end.
+    starting past x's last bit, where no digit sum reaches 2.  Otherwise
+    the bits from p + 3 on settle it (missing bits read as 0).  With fb = 0
+    any 1 up to the longer operand's end makes the term positive.  With
+    fb = 1 the digit sums x_i + y_(i-d) are all 1 exactly while the
+    comparison with u stays open; the first two equal bits settle it, zeros
+    below u and ones at or above, and then any 1 after them puts it above.
+    Past the end of either mantissa no digit 2 can form, so the search for
+    equal bits stops at the shorter operand's end.
 
     The first slice spans the window's blocks and _FIRST_SLICE more: when
     both operands end inside it, `_join_whole` joins each one whole, else
-    `_join` slices them.  Each slice is tested with one XNOR or OR, going on with OR in the same slice after
-    equal ones.  The stats charge what a walk one block at a time would
-    consult up to the settling position, the window's limbs at least.
+    `_join` slices them.  Each slice is tested with one XNOR or OR, going
+    on with OR in the same slice after equal ones.  The stats charge what a
+    walk one block at a time would consult up to the settling position, the
+    window's limbs at least.
     """
     w = x.limb_width
     xl, yl = x.limbs, y.limbs

@@ -64,7 +64,8 @@ def decide_round(mode: RoundingMode, r: int, s: int, last_bit: int) -> int:
     the ternary value; the mantissa is incremented exactly when it is +1.
 
     `last_bit` is the lowest kept mantissa bit (weight 2**-p), consulted only
-    to break the NearestEven halfway case.
+    to break the NearestEven halfway case.  `s` is read only as a truth
+    value, so the bits below r may be passed as they are.
     """
     if not (r or s):
         return 0

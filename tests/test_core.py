@@ -220,8 +220,8 @@ def test_validator_rejects_cleared_top_bit():
 @pytest.mark.parametrize("count", range(10))
 @pytest.mark.parametrize("width", [32, 64])
 def test_limbs_from_int_msb_first(width, count, fill):
-    # Runs of up to 4 limbs are joined, and runs of 1 or 2 split, by shifts;
-    # longer ones by struct.  Both must give what one big-endian struct call
+    # Runs of up to 4 limbs are joined, and runs of 2 split, by shifts; the
+    # others by struct.  Both must give what one big-endian struct call
     # over the whole run gives.
     code = f">{count}{'I' if width == 32 else 'Q'}"
     rng = random.Random(width * 100 + count)

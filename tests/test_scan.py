@@ -345,8 +345,8 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_machine_size_add_packs_no_struct(w, monkeypatch):
-    # A 53-bit add joins at most 4 limbs per operand and splits its result
-    # into 1 or 2: all by shifts.  A scan-sized add still joins its long
+    # A 53-bit add joins at most 4 limbs per operand, and stores its result
+    # as its one limb or splits it into 2: all by shifts.  A scan-sized add still joins its long
     # slices through struct.
     import xadd.core
 
