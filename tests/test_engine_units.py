@@ -332,14 +332,8 @@ def test_settle_returns_error_class_members():
 
 def test_scan_stats_keeps_its_defaults_and_stays_assignable():
     s = ScanStats()
-    assert (s.x_limbs_read, s.y_limbs_read, s.trailing_bits_examined, s.q_found_at, s.limbs_touched) == (
-        0,
-        0,
-        0,
-        None,
-        0,
-    )
-    assert not hasattr(s, "__dict__")
+    assert s == ScanStats(0, 0, 0, None, 0)
+    assert not hasattr(s, "__dict__")  # slotted
     s.q_found_at = 7
     s.limbs_touched += 2
     assert s == ScanStats(q_found_at=7, limbs_touched=2)
