@@ -6,8 +6,9 @@ error class open for up to about 4400 bits: complement tails (the fb = 1
 pair scan), identical tails and zero tails (the trailing-one scan).  The
 digest was recorded from the limb-at-a-time scan and recorded again when
 fb = 1 with y starting past x's end came to settle unread (52 of its 6400
-outcomes read less, none more), so any change to a result, a ternary or a
-logical count fails it.
+outcomes read less, none more), and again when `limbs_touched`, the count
+that the slice schedule sets, joined the key.  So any change to a result, a
+ternary, a logical count or the limbs taken from storage fails it.
 `test_equal_ones_switch_boundaries` pins fb = 1 cases whose first agreeing
 pair is two ones, where the scan turns into the trailing-one test: at a
 slice's end, at an operand's end, and with the trailing 1 near or far.
@@ -34,7 +35,7 @@ from xadd.cli import _random_case, _random_exponent, _random_mantissa
 from xadd.core import mantissa_is_normalized
 
 ALL_MODES = list(RoundingMode)
-GOLDEN_DIGEST = "d445068d501064ef86b640bcbe79cba506455486f8b1a1a5e478685841ff8dbd"
+GOLDEN_DIGEST = "e5a856683a85e633f0eafc6f0c469f826c587265f0a8304b9a6dc3f904ce964f"
 
 
 def _long_tail_case(rng: random.Random, ctx: Context):
@@ -95,6 +96,7 @@ def _outcome_key(out) -> tuple:
         s.y_limbs_read,
         s.trailing_bits_examined,
         s.q_found_at,
+        s.limbs_touched,
     )
 
 
