@@ -12,6 +12,9 @@ ternary, a logical count or the limbs taken from storage fails it.
 `test_equal_ones_switch_boundaries` pins fb = 1 cases whose first agreeing
 pair is two ones, where the scan turns into the trailing-one test: at a
 slice's end, at an operand's end, and with the trailing 1 near or far.
+`test_reads_equal_the_least_prefix_*` hold the three read counters to
+`_least_prefix`, which finds the fewest trailing bits that settle the class
+from the whole mantissas, with no reference to how the engine scans.
 """
 
 import hashlib
@@ -441,3 +444,100 @@ def test_limbs_touched_when_y_lies_below_the_window(w):
     s = add_positive(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx).stats
     assert (s.x_limbs_read, s.y_limbs_read, s.trailing_bits_examined) == (64 // w, 0, 0)
     assert s.limbs_touched == 7
+
+
+def _least_prefix(x, y, p):
+    """(trailing_bits_examined, x_limbs_read, y_limbs_read) of the least read
+    that settles the error class, worked out from the whole mantissas.
+
+    The reference knows each operand's length and leading 1 and no other
+    bit it has not read.  Reading k trailing positions means knowing every
+    bit up to x-frame position p + 2 + k, one fewer after a window carry,
+    whose displaced bit is the first of the k.  The class is settled once
+    the least and the greatest completion of the unread bits give the same
+    class; both ends move inward as k grows, so the least such k is found
+    by bisection.  The limb counts follow from the last known position P by
+    a walk one block at a time: x's blocks up to P's, and the y limbs that
+    reach them once the walk has met y, in the window or past it.
+    """
+    if (x.exponent, x.precision) < (y.exponent, y.precision):
+        x, y = y, x
+    w, m, n = x.limb_width, x.precision, y.precision
+    d = x.exponent - y.exponent
+    window = p + 2
+    top = max(m, d + n, window) + 1  # the x-frame position of weight 1
+    xv = x.mantissa_int() >> (len(x.limbs) * w - m) << (top - m)
+    yv = y.mantissa_int() >> (len(y.limbs) * w - n) << (top - d - n)
+    s = top - window  # the window's last position, fb, has weight 2**s
+    total = (xv >> s) + (yv >> s)
+    carry = total >> window
+    fb = total >> carry & 1
+    displaced = (total & carry) << s
+    u, low_mask = 1 << (s + carry), (1 << s) - 1
+
+    def cls(eps):
+        return (eps > u) - (eps < u) if fb else eps > 0
+
+    def settled(last):  # every bit up to x-frame position `last` is known
+        xu = ((1 << (m - last)) - 1) << (top - m) if last < m else 0
+        lead = max(last, d + 1)  # y's leading 1 is always known
+        yu = ((1 << (d + n - lead)) - 1) << (top - d - n) if lead < d + n else 0
+        least = (xv & ~xu & low_mask) + (yv & ~yu & low_mask) + displaced
+        most = ((xv | xu) & low_mask) + ((yv | yu) & low_mask) + displaced
+        return cls(least) == cls(most)
+
+    lo, hi = carry, max(m, d + n, window) - window + carry
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if settled(window + mid - carry):
+            hi = mid
+        else:
+            lo = mid + 1
+    last = window + lo - carry
+    block, ls = (last - 1) // w, d // w
+    met_y = d < window or last > window
+    y_read = min(max(block - ls + 1, 0), len(y.limbs)) if met_y else 0
+    return lo, min(block + 1, len(x.limbs)), y_read
+
+
+def _assert_reads_the_least_prefix(x, y, p, ctx):
+    want = _least_prefix(x, y, p)
+    for a, b in ((x, y), (y, x)):
+        out = add_positive(a, b, p, RoundingMode.NEAREST_EVEN, ctx=ctx)
+        if not isinstance(out, Overflow):
+            s = out.stats
+            assert (s.trailing_bits_examined, s.x_limbs_read, s.y_limbs_read) == want
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_reads_equal_the_least_prefix_over_the_small_domain(w):
+    # Every mantissa of 2 to 6 bits for x and for y, d in 0..11, p in 2..7.
+    # The counters do not depend on the rounding mode.
+    ctx = Context(limb_width=w)
+
+    def mantissas(exponent):
+        return [
+            make_float_from_int(1, exponent, m, 1 << (m - 1) | tail, ctx=ctx)
+            for m in range(2, 7)
+            for tail in range(1 << (m - 1))
+        ]
+
+    xs = mantissas(0)
+    for d in range(12):
+        ys = mantissas(-d)
+        for x in xs:
+            for y in ys:
+                for p in range(2, 8):
+                    _assert_reads_the_least_prefix(x, y, p, ctx)
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_reads_equal_the_least_prefix_on_random_cases(w):
+    # Up to 1200 bits, so that the settling position crosses limb seams.
+    ctx = Context(limb_width=w)
+    rng = random.Random(1200 + w)
+    for _ in range(20000):
+        x, y, p = _random_case(rng, 1200, ctx)
+        if abs(x.exponent - y.exponent) > 4096:
+            continue  # the reference's integers grow with the gap
+        _assert_reads_the_least_prefix(x, y, p, ctx)
