@@ -11,15 +11,15 @@ The rounding then depends only on the window and on how eps compares with
 0 and u: `add_positive` appends that class to the window as one more digit
 in units of u/2 and rounds the tail with `rounding.round_magnitude`, the
 rounding of the integer path.  `_settle` reads each operand once, most
-significant first: it joins a first slice of limbs, the window's blocks
-plus four more, into one integer per operand, cuts the window sum from the
-two integers and goes on from the same two to settle eps.  When both
-operands end inside that slice, as a machine-size add's do, it joins each
-whole, a one-limb operand as its limb, without slicing.  It tests slices
-with one XNOR or OR; with fb = 1, equal ones only settle eps >= u and the
-test goes on for a later 1.  Further slices double, so it takes at most
-about twice the limbs that the walk to the settling position covers, and it
-counts what it read.
+significant first: `_join` joins a first slice of limbs, the window's
+blocks plus four more, into one integer per operand, and `_settle` cuts the
+window sum from the two integers and goes on from the same two to settle
+eps.  A machine-size add's slice holds each operand whole, so the join gets
+the limb tuples themselves and uses a one-limb operand as its limb.  One
+loop tests slices with one XNOR or OR; with fb = 1, equal ones only settle
+eps >= u and the test goes on for a later 1 in the same slice.  Further
+slices double, so it takes at most about twice the limbs that the walk to
+the settling position covers, and it counts what it read.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ class ScanStats:
     highest index sliced from each operand plus one, summed.  The first
     slice spans the window and four blocks past it, and later slices double,
     so per operand it runs ahead of the read count by at most the blocks
-    scanned plus a few, even when the window alone settles the class.  When
-    both operands end inside the first slice, each is taken whole: the count
-    is their two limb counts, which the slice's clamped ends equal.
+    scanned plus a few, even when the window alone settles the class.  An
+    operand that ends inside the first slice counts its whole limb array.
     """
 
     x_limbs_read: int = 0
@@ -101,30 +100,15 @@ _OUTCOME_SETTERS = tuple(getattr(AddOutcome, name).__set__ for name in AddOutcom
 _FIRST_SLICE = 4
 
 
-def _join(xl: tuple[int, ...], yl: tuple[int, ...], w: int, d: int, j: int, hi: int) -> tuple[int, int]:
-    """x's limb blocks j..hi-1 and the y limbs reaching them, each joined into
-    one int on x's grid, with the bit at x-frame position hi * w at weight 1."""
-    top = hi * w
-    xs = xl[j:hi]
-    ls = d // w
-    ya = j - ls - (d % w > 0)
-    ya = ya if ya > 0 else 0
-    ys = yl[ya : hi - ls if hi > ls else 0]
-    yv = int_from_limbs(ys, w)
-    shift = top - d - (ya + len(ys)) * w
-    xv = int_from_limbs(xs, w) << (top - (j + len(xs)) * w)
-    return xv, yv << shift if shift >= 0 else yv >> -shift
-
-
-def _join_whole(xl: tuple[int, ...], yl: tuple[int, ...], w: int, d: int, top: int) -> tuple[int, int]:
-    """What `_join(xl, yl, w, d, 0, hi)` returns, with top = hi * w, when both
-    operands end by x-frame position top: then the slice holds each operand
-    whole, so each is joined without slicing, a one-limb operand as its limb.
-    Shifting y right drops only its last limb's zero padding."""
-    xv = xl[0] if len(xl) == 1 else int_from_limbs(xl, w)
-    yv = yl[0] if len(yl) == 1 else int_from_limbs(yl, w)
-    shift = top - d - len(yl) * w
-    return xv << (top - len(xl) * w), yv << shift if shift >= 0 else yv >> -shift
+def _join(xs: tuple[int, ...], ys: tuple[int, ...], w: int, yd: int, top: int) -> tuple[int, int]:
+    """A run of x's limbs and a run of y's, each joined into one int on x's
+    grid.  Positions count from the start of x's run: y's run starts at yd,
+    and the bit at position top gets weight 1, so y's bits past it drop.
+    A one-limb run is used as its limb."""
+    xv = xs[0] if len(xs) == 1 else int_from_limbs(xs, w)
+    yv = ys[0] if len(ys) == 1 else int_from_limbs(ys, w)
+    shift = top - yd - len(ys) * w
+    return xv << (top - len(xs) * w), yv << shift if shift >= 0 else yv >> -shift
 
 
 def _settle(
@@ -152,12 +136,13 @@ def _settle(
     Past the end of either mantissa no digit 2 can form, so the search for
     equal bits stops at the shorter operand's end.
 
-    The first slice spans the window's blocks and _FIRST_SLICE more: when
-    both operands end inside it, `_join_whole` joins each one whole, else
-    `_join` slices them.  Each slice is tested with one XNOR or OR, going
-    on with OR in the same slice after equal ones.  The stats charge what a
-    walk one block at a time would consult up to the settling position, the
-    window's limbs at least.
+    The first slice spans the window's blocks and _FIRST_SLICE more, and
+    each later slice starts at the next block and at the y limb holding its
+    first position; `_join` joins what each slice takes from x and y.  One
+    loop tests each slice with one XNOR or OR, and after equal ones goes on
+    with OR in the same slice.  The stats charge what a walk one block at a
+    time would consult up to the settling position, the window's limbs at
+    least.
     """
     w = x.limb_width
     xl, yl = x.limbs, y.limbs
@@ -166,10 +151,7 @@ def _settle(
     ls = d // w
     hi = window // w + _FIRST_SLICE
     top = hi * w
-    if m <= top and d + n <= top:
-        xv, yv = _join_whole(xl, yl, w, d, top)
-    else:
-        xv, yv = _join(xl, yl, w, d, 0, hi)
+    xv, yv = _join(xl[:hi], yl[: hi - ls if hi > ls else 0], w, d, top)
     total = (xv >> (top - window)) + (yv >> (top - window))
     exponent = x.exponent
     shifted_out = None
@@ -214,27 +196,27 @@ def _settle(
             stop = (end - 1) // w + 1
             size = _FIRST_SLICE
             while True:
-                while True:
-                    low = end if end < top else top
-                    mask = (1 << (low - pos + 1)) - 1
-                    bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & mask
-                    if not bits or not agree:
-                        break
+                low = end if end < top else top
+                mask = (1 << (low - pos + 1)) - 1
+                bits = (~(xv ^ yv) if agree else xv | yv) >> (top - low) & mask
+                if bits and agree:
                     q = low + 1 - bits.bit_length()
                     q_found = q + (shifted_out is not None)  # into the result frame
-                    if not xv >> (top - q) & 1:
-                        break
-                    # Equal ones at q: test the rest of this slice for a 1; the
-                    # next slice takes _FIRST_SLICE blocks again (size doubles
-                    # below).
-                    agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
-                    stop = (end - 1) // w + 1
+                    if xv >> (top - q) & 1:
+                        # Equal ones at q: test the rest of this slice for a 1;
+                        # the next slice takes _FIRST_SLICE blocks again (size
+                        # doubles below).
+                        agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
+                        stop = (end - 1) // w + 1
+                        continue
                 if bits or low == end:
                     break
                 pos, j, size = top + 1, hi, 2 * size
                 hi = j + size if j + size < stop else stop
                 top = hi * w
-                xv, yv = _join(xl, yl, w, d, j, hi)
+                ya = (pos - 1 - d) // w  # the y limb holding position pos, or y's first
+                ya = ya if ya > 0 else 0
+                xv, yv = _join(xl[j:hi], yl[ya : hi - ls if hi > ls else 0], w, d + (ya - j) * w, top - j * w)
             settled = low + 1 - bits.bit_length() if bits else end
             examined += settled - window
             block = (settled - 1) // w

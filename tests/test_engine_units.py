@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xadd.engine
 from xadd import Context, RoundingMode, add_positive, exact_add_round, make_float, make_float_from_int
-from xadd.engine import _FIRST_SLICE, ErrorClass, ScanStats, _join, _join_whole, _ordered, _settle
+from xadd.engine import _FIRST_SLICE, ErrorClass, ScanStats, _join, _ordered, _settle
 
 from .helpers import pow2
 
@@ -260,28 +261,52 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
     assert t.stats.trailing_bits_examined <= m + n
 
 
-# --- the whole-operand join ----------------------------------------------
+# --- the one join --------------------------------------------------------
 
 
-def _first_slice(x, y, p, d):
-    """The first slice's (hi, top) and whether `_settle` joins x and y whole."""
+@pytest.fixture
+def joins(monkeypatch):
+    """Each `_join` call that `_settle` makes, as (xs, ys, top, xv, yv)."""
+    calls = []
+
+    def recording(xs, ys, w, yd, top):
+        xv, yv = _join(xs, ys, w, yd, top)
+        calls.append((xs, ys, top, xv, yv))
+        return xv, yv
+
+    monkeypatch.setattr(xadd.engine, "_join", recording)
+    return calls
+
+
+def _on_grid(mantissa: int, width: int, start: int, end: int) -> int:
+    """A `width`-bit mantissa int whose first bit sits at x-frame position
+    start + 1, shifted so that position `end` has weight 1."""
+    shift = end - start - width
+    return mantissa << shift if shift >= 0 else mantissa >> -shift
+
+
+def _assert_joins_hold_the_mantissas(x, y, p, d, calls) -> int:
+    """Settle x + y and check every slice `_settle` joined: on each position
+    of the slice, x's int holds x's mantissa bit and y's int holds y's
+    (0 where an operand has no bit), both aligned on x's grid.  y's int may
+    carry bits above the slice.  Returns the number of slices."""
+    calls.clear()
+    _settle(x, y, p, d)
     w = x.limb_width
-    hi = (p + 2) // w + _FIRST_SLICE
-    top = hi * w
-    return hi, top, x.precision <= top and d + y.precision <= top
-
-
-def _assert_whole_join_matches_join(x, y, p, d):
-    hi, top, whole = _first_slice(x, y, p, d)
-    assert whole
-    xl, yl, w = x.limbs, y.limbs, x.limb_width
-    assert _join_whole(xl, yl, w, d, top) == _join(xl, yl, w, d, 0, hi)
+    xm, ym = x.mantissa_int(), y.mantissa_int()
+    end = 0
+    for _, _, top, xv, yv in calls:
+        end += top  # slices run on from one another; a slice is top bits long
+        mask = (1 << top) - 1
+        assert xv == _on_grid(xm, len(x.limbs) * w, 0, end) & mask
+        assert yv & mask == _on_grid(ym, len(y.limbs) * w, d, end) & mask
+    return len(calls)
 
 
 @pytest.mark.parametrize("w", [32, 64])
-def test_whole_operand_join_matches_join_over_the_small_domain(w):
-    # Every (m, n, d, p) shape of acceptance check 3's exhaustive domain takes
-    # the whole-operand join, which must give _join's two ints exactly.
+def test_join_holds_the_mantissas_over_the_small_domain(w, joins):
+    # Every (m, n, d, p) shape of acceptance check 3's exhaustive domain
+    # settles in the first slice.
     ctx = Context(limb_width=w)
     rng = random.Random(w)
     for m in range(2, 7):
@@ -290,15 +315,36 @@ def test_whole_operand_join_matches_join_over_the_small_domain(w):
                 x = make_float_from_int(1, 0, m, 1 << (m - 1) | rng.getrandbits(m - 1), ctx=ctx)
                 y = make_float_from_int(1, -d, n, 1 << (n - 1) | rng.getrandbits(n - 1), ctx=ctx)
                 for p in range(2, 9):
-                    _assert_whole_join_matches_join(x, y, p, d)
+                    assert _assert_joins_hold_the_mantissas(x, y, p, d, joins) == 1
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_join_holds_the_mantissas_on_later_slices(w, joins):
+    # Long tails keep the class open past the first slice, so later slices
+    # start y at the limb holding the slice's first position; with d % w == 0
+    # that limb starts exactly there.
+    from .test_scan import _long_tail_case
+
+    ctx = Context(limb_width=w)
+    rng = random.Random(5 * w)
+    later = aligned = 0
+    for _ in range(1000):
+        x, y, p = _long_tail_case(rng, ctx)
+        d = x.exponent - y.exponent
+        slices = _assert_joins_hold_the_mantissas(x, y, p, d, joins)
+        later += slices > 1
+        aligned += slices > 1 and d % w == 0
+    assert later > 150 and aligned > 20
 
 
 @pytest.mark.parametrize("w", [32, 64])
 @pytest.mark.parametrize("p", [2, 29, 30, 31, 53, 62, 63, 64, 126])
-def test_whole_operand_join_at_the_branch_edge(w, p):
+def test_whole_operand_join_at_the_branch_edge(w, p, joins):
     # y ends one bit before, at or one bit past the first slice's end, and x
-    # ends at or one bit past it.  Inside, the whole-operand join equals
-    # _join; on every side the add agrees with the oracle.
+    # ends at or one bit past it.  When both end inside the slice, it holds
+    # each operand whole and `_join` gets the limb tuples themselves; on
+    # every side the join holds both mantissas and the add agrees with the
+    # oracle.
     ctx = Context(limb_width=w)
     top = ((p + 2) // w + _FIRST_SLICE) * w
     rng = random.Random(p * w)
@@ -310,8 +356,9 @@ def test_whole_operand_join_at_the_branch_edge(w, p):
                 n = y_end - d
                 x = make_float_from_int(1, 0, m, 1 << (m - 1) | rng.getrandbits(m - 1), ctx=ctx)
                 y = make_float_from_int(1, -d, n, 1 << (n - 1) | rng.getrandbits(n - 1), ctx=ctx)
-                if _first_slice(x, y, p, d)[2]:
-                    _assert_whole_join_matches_join(x, y, p, d)
+                _assert_joins_hold_the_mantissas(x, y, p, d, joins)
+                if m <= top and y_end <= top:
+                    assert joins[0][0] is x.limbs and joins[0][1] is y.limbs
                     inside += 1
                 for mode in RoundingMode:
                     got = add_positive(x, y, p, mode, ctx=ctx)

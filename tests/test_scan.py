@@ -312,11 +312,12 @@ def test_equal_ones_switch_boundaries(w, name):
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
-    # Both 53-bit operands lie inside the first slice, so _settle joins each
-    # whole without _join: one 2-limb int_from_limbs call per operand at
-    # w = 32, none at w = 64, where each operand is its one limb.  The window
-    # and the scan read the same two ints.  An add whose operands reach past
-    # the first slice still slices them through _join.
+    # Both 53-bit operands lie inside the first slice, so _settle's one _join
+    # call gets each operand's limb tuple itself (slicing a tuple whole
+    # returns it): one 2-limb int_from_limbs call per operand at w = 32, none
+    # at w = 64, where each operand is used as its one limb.  The window and
+    # the scan read the same two ints.  An add whose operands reach past the
+    # first slice joins each later slice too.
     import xadd.engine
 
     calls, joins = [], []
@@ -324,7 +325,7 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     monkeypatch.setattr(
         xadd.engine, "int_from_limbs", lambda limbs, width: calls.append(limbs) or join(limbs, width)
     )
-    monkeypatch.setattr(xadd.engine, "_join", lambda *args: joins.append(args[3:]) or slice_join(*args))
+    monkeypatch.setattr(xadd.engine, "_join", lambda *args: joins.append(args) or slice_join(*args))
     ctx = Context(limb_width=w)
     rng = random.Random(53)
     x = make_float_from_int(1, 0, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
@@ -335,8 +336,10 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     # fb = 0, and y's tail below the window settles the class at bit 6.
     assert out.stats.trailing_bits_examined == 6
     assert len(calls) == {32: 2, 64: 0}[w]
-    assert joins == []
+    assert len(joins) == 1
+    assert joins[0][0] is x.limbs and joins[0][1] is y.limbs
 
+    joins.clear()
     m = 1 << 14
     xm = rng.getrandbits(m) | 1 << (m - 1)
     lx = make_float_from_int(1, 0, m, xm, ctx=ctx)
@@ -345,7 +348,8 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     want = exact_add_round(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     assert (out.result, out.ternary) == (want.result, want.ternary)
     assert out.stats.trailing_bits_examined > m - 100
-    assert joins and joins[0] == (1, 0, 55 // w + 4)  # (d, j, hi) of the first slice
+    assert len(joins) > 1
+    assert joins[0][3:] == (1, (55 // w + 4) * w)  # (yd, top) of the first slice
 
 
 @pytest.mark.parametrize("w", [32, 64])
@@ -539,5 +543,5 @@ def test_reads_equal_the_least_prefix_on_random_cases(w):
     for _ in range(20000):
         x, y, p = _random_case(rng, 1200, ctx)
         if abs(x.exponent - y.exponent) > 4096:
-            continue  # the reference's integers grow with the gap
+            continue  # the reference's integers grow with the gap; _random_case's stay under 2410
         _assert_reads_the_least_prefix(x, y, p, ctx)
