@@ -9,7 +9,10 @@ storage.  `limbs_from_int` and `int_from_limbs` convert between that
 storage and Python integers: runs of at most `_SHIFT_LIMBS` (4) limbs are
 joined with shifts, and splits into 2 limbs are made with shifts, so that a
 machine-size add never packs a struct; longer runs go through one struct
-call.  A one-limb mantissa needs no conversion: `float_from_mantissa`
+call, except that a run led by zero limbs counts them first: an all-zero
+run joins to 0 and a run whose zeros all lead joins only the rest, so the
+zero tail of a value with fewer significant bits than its precision costs
+a count, not a pack.  A one-limb mantissa needs no conversion: `float_from_mantissa`
 stores it padded as its limb, and ``engine._settle`` reads the limb.
 
 Values are immutable.  The precision cap `DEFAULT_MAX_PRECISION` and the
@@ -20,8 +23,9 @@ result, and it belongs to a :class:`Context` with the limb width.
 Each value is validated once, by whoever builds it:
 
 - ``Float(...)`` is the validating constructor for storage given from
-  outside: it checks the sign, the precision, the exponent's type and,
-  limb by limb, that the mantissa is normalized.
+  outside: it checks the sign, the precision, the exponent's type, that the
+  limbs are a tuple of ints (not bools) and, limb by limb, that the
+  mantissa is normalized.
 - `make_float` and `make_float_from_int` check the precision range, the
   exponent range, the digits or the leading bit, and the sign.
   A mantissa written out is read once: `_bits_int` guards one
@@ -163,7 +167,7 @@ def mantissa_is_normalized(limbs: tuple[int, ...], precision: int, limb_width: i
     """True iff `limbs` is a valid normalized p-bit mantissa: correct length,
     every limb inside the word range, top bit 1, and all storage bits below
     the precision zero."""
-    if precision < 2 or limb_width not in _LIMB_WIDTHS:
+    if precision < 2 or not isinstance(limb_width, int) or limb_width not in _LIMB_WIDTHS:
         return False
     if len(limbs) != limb_count(precision, limb_width):
         return False
@@ -192,6 +196,14 @@ class Float:
     def __post_init__(self) -> None:
         _check_sign(self.sign)
         check_precision(self.precision)
+        # A list would make the value mutable and unhashable, and a float,
+        # str or bool limb would reach the word-range test as a TypeError or
+        # as a bit pattern; a tuple subclass stays allowed.
+        limbs = self.limbs
+        if not isinstance(limbs, tuple) or not all(
+            isinstance(limb, int) and not isinstance(limb, bool) for limb in limbs
+        ):
+            raise NotNormalized(f"limbs must be a tuple of ints, got {_quote(limbs)}")
         if not mantissa_is_normalized(self.limbs, self.precision, self.limb_width):
             raise NotNormalized(
                 f"mantissa {_quote(self.limbs)} is not a normalized "
@@ -324,10 +336,20 @@ def limbs_from_int(value: int, total_bits: int, limb_width: int) -> tuple[int, .
 
 
 def int_from_limbs(limbs: tuple[int, ...], limb_width: int) -> int:
-    """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer."""
+    """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer.
+
+    A run longer than _SHIFT_LIMBS whose first limb is 0, such as a slice of
+    an exact sum's zero tail, has its zeros counted once: when they all lead
+    the run, only the limbs after them are joined, none for an all-zero run,
+    so a zero costs a count, not a pack.  Any other run packs whole.
+    """
     if len(limbs) <= _SHIFT_LIMBS:
         value = 0
         for limb in limbs:
             value = value << limb_width | limb
         return value
+    if not limbs[0]:
+        rest = limbs[limbs.count(0) :]
+        if 0 not in rest:  # the run's zeros all lead it
+            return int_from_limbs(rest, limb_width)
     return int.from_bytes(_limb_struct(len(limbs), limb_width).pack(*limbs), "big")

@@ -19,7 +19,9 @@ the limb tuples themselves and uses a one-limb operand as its limb.  One
 loop tests slices with one XNOR or OR; with fb = 1, equal ones only settle
 eps >= u and the test goes on for a later 1 in the same slice.  Further
 slices double, so it takes at most about twice the limbs that the walk to
-the settling position covers, and it counts what it read.
+the settling position covers, and it counts what it read.  An all-zero
+slice, as in the tail of an exact sum, costs a count, not a pack
+(``core.int_from_limbs``).
 """
 
 from __future__ import annotations

@@ -239,3 +239,90 @@ def test_float_equality_is_structural():
     assert make_float(1, 0, 4, "1010") == make_float(1, 0, 4, "1010")
     assert make_float(1, 0, 4, "1010") != make_float(1, 0, 4, "1011")
     assert make_float(1, 0, 2, "10") != make_float(1, 1, 2, "10")
+
+
+def _shaped_run(shape: str, count: int, width: int, rng: random.Random) -> tuple[int, ...]:
+    """A run of `count` limbs of the named shape; shapes a run too short for
+    fall back to what fits (a zero-led run with a later zero needs 3 limbs)."""
+    nonzero = lambda: rng.randrange(1, 1 << width)  # noqa: E731
+    if shape == "zeros" or count == 0:
+        return (0,) * count
+    if shape == "leading_zeros":
+        lead = rng.randint(1, count)
+        return (0,) * lead + tuple(nonzero() for _ in range(count - lead))
+    if shape == "scattered":  # a nonzero first limb, zeros anywhere after it
+        return (nonzero(),) + tuple(rng.choice((0, nonzero())) for _ in range(count - 1))
+    # zero_led_later_zero: zeros lead, a nonzero limb follows, then a zero
+    # somewhere after it, possibly the last limb.
+    if count < 3:
+        return (0,) * (count - 1) + (nonzero(),)
+    lead = rng.randint(1, count - 2)
+    rest = [nonzero() for _ in range(count - lead)]
+    rest[rng.randint(1, len(rest) - 1)] = 0
+    return (0,) * lead + tuple(rest)
+
+
+@pytest.mark.parametrize("shape", ["zeros", "leading_zeros", "scattered", "zero_led_later_zero"])
+@pytest.mark.parametrize("width", [32, 64])
+def test_int_from_limbs_matches_one_struct_call_on_shaped_runs(width, shape):
+    # Runs of 0..40 limbs cross _SHIFT_LIMBS (4): short runs join by shifts,
+    # longer zero-led ones count their zeros first, the rest pack whole.
+    # Each must equal one big-endian struct call over the whole run.
+    rng = random.Random(f"{width}-{shape}")
+    for count in range(41):
+        for _ in range(8):
+            limbs = _shaped_run(shape, count, width, rng)
+            assert len(limbs) == count
+            code = f">{count}{'I' if width == 32 else 'Q'}"
+            got = int_from_limbs(limbs, width)
+            assert got == int.from_bytes(struct.pack(code, *limbs), "big")
+            assert type(got) is int
+
+
+def test_int_from_limbs_on_zero_led_runs_at_the_shift_edge():
+    # The zeros that lead a long run drop, and what is left may be short
+    # enough for the shift join: each split of 5..6 limbs, both widths.
+    for width in (32, 64):
+        one = (1 << width) - 1
+        for count in (5, 6):
+            for lead in range(count + 1):
+                for tail in ((one,) * (count - lead), (1,) * (count - lead)):
+                    limbs = (0,) * lead + tail
+                    want = sum(limb << (width * (count - 1 - i)) for i, limb in enumerate(limbs))
+                    assert int_from_limbs(limbs, width) == want
+
+
+@pytest.mark.parametrize(
+    "limbs, precision",
+    [
+        ([1 << 63], 2),
+        ([1 << 63, 0], 128),
+        ((1.5,), 2),
+        (("a",), 2),
+        ((1 << 63, True), 128),
+        ((float(1 << 63),), 2),
+        (bytearray(b"\x80"), 2),
+    ],
+    ids=["list", "long-list", "float", "str", "bool", "whole-float", "bytearray"],
+)
+def test_float_refuses_limbs_that_are_not_a_tuple_of_ints(limbs, precision):
+    # A list is mutable and unhashable; a float, str or bool limb is no
+    # machine word (the True here would pass as a last limb of 1).  Each is
+    # a FloatValueError with the input quoted, never a TypeError.
+    with pytest.raises(NotNormalized, match=r"^limbs must be a tuple of ints, got "):
+        Float(1, 0, precision, limbs, 64)
+
+
+def test_float_refuses_a_limb_width_that_is_not_an_int():
+    # 64.0 == 64, so a membership test alone lets it through to the shifts.
+    with pytest.raises(NotNormalized):
+        Float(1, 0, 2, (1 << 63,), 64.0)
+
+
+def test_float_accepts_a_tuple_subclass_and_stays_hashable():
+    class Limbs(tuple):
+        pass
+
+    x = Float(1, 0, 2, Limbs((1 << 63,)), 64)
+    assert hash(x) == hash(Float(1, 0, 2, (1 << 63,), 64))
+    assert x == make_float(1, 0, 2, "10")

@@ -545,3 +545,81 @@ def test_reads_equal_the_least_prefix_on_random_cases(w):
         if abs(x.exponent - y.exponent) > 4096:
             continue  # the reference's integers grow with the gap; _random_case's stay under 2410
         _assert_reads_the_least_prefix(x, y, p, ctx)
+
+
+def _zero_tail_cases():
+    """fb = 0 adds of 53-bit values stored at 2^14 bits, so that both tails
+    are zero past bit 53: (x, y, p, ctx, eq_zero).  x sits at exponent 0
+    and y d bits lower; the window is the exact sum's top p + 2 bits, and
+    eq_zero tells whether every sum bit below it is 0."""
+    m = 1 << 14
+    for w in (32, 64):
+        ctx = Context(limb_width=w)
+        rng = random.Random(14 + w)
+        for p in (24, 53, 64, 113):
+            for d in (0, 1, 29, 52, 53, 61, 64, 100):
+                for _ in range(4):
+                    xv, yv = rng.getrandbits(52) | 1 << 52, rng.getrandbits(52) | 1 << 52
+                    s = (xv << d) + yv
+                    cut = max(s.bit_length() - p - 2, 0)  # sum bits below the window
+                    if s.bit_length() >= p + 2 and s >> cut & 1:
+                        continue  # fb = 1
+                    x = make_float_from_int(1, 0, m, xv << (m - 53), ctx=ctx)
+                    y = make_float_from_int(1, -d, m, yv << (m - 53), ctx=ctx)
+                    yield x, y, p, ctx, s & ((1 << cut) - 1) == 0
+
+
+def test_zero_tails_add_like_the_oracle_and_read_the_least_prefix():
+    # With EQ_ZERO the scan reads both zero tails to the longer operand's
+    # end; with GT_ZERO_LT_U it settles on a 1 near the top.  Either way the
+    # result, the ternary and the read counters stay those of the oracle and
+    # of the least-prefix reference.
+    eq_zero = gt_zero = 0
+    for x, y, p, ctx, is_zero in _zero_tail_cases():
+        for a, b in ((x, y), (y, x)):
+            for mode in ALL_MODES:
+                got = add_positive(a, b, p, mode, ctx=ctx)
+                want = exact_add_round(a, b, p, mode, ctx=ctx)
+                assert (got.result, got.ternary) == (want.result, want.ternary)
+                assert got.ternary or is_zero  # a positive error term is inexact
+        _assert_reads_the_least_prefix(x, y, p, ctx)
+        if is_zero:
+            assert add_positive(x, y, p, RoundingMode.NEAREST_EVEN, ctx=ctx).stats.x_limbs_read == len(x.limbs)
+        eq_zero += is_zero
+        gt_zero += not is_zero
+    assert eq_zero >= 40 and gt_zero >= 40
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_exact_sum_at_the_cap_packs_only_the_first_slice(w, monkeypatch):
+    # Two binary64 values stored at 2^24 bits, at p = 113: the sum is exact,
+    # so the fb = 0 scan reads every limb of both operands.  The first slice
+    # holds all their significant bits; each later slice is all zeros and
+    # joins to 0 by a count, so no struct longer than the first slice is
+    # compiled, where packing the zeros compiled one per doubling slice.
+    import xadd.core
+
+    ctx = Context(limb_width=w)
+    m, p, d = DEFAULT_MAX_PRECISION, 113, 7
+    rng = random.Random(w)
+    xv, yv = rng.getrandbits(52) | 1 << 52, rng.getrandbits(52) | 1 << 52
+    x = make_float_from_int(1, 0, m, xv << (m - 53), ctx=ctx)
+    y = make_float_from_int(1, -d, m, yv << (m - 53), ctx=ctx)
+    reads = _least_prefix(x, y, p)
+    assert reads[1:] == (len(x.limbs), len(y.limbs))
+    calls = []
+    compile_struct = xadd.core._limb_struct
+    monkeypatch.setattr(
+        xadd.core, "_limb_struct", lambda count, width: calls.append(count) or compile_struct(count, width)
+    )
+    first = (p + 2) // w + 4  # the window's blocks and four more
+    for a, b in ((x, y), (y, x)):
+        for mode in ALL_MODES:
+            calls.clear()
+            got = add_positive(a, b, p, mode, ctx=ctx)
+            assert calls and max(calls) <= first
+            want = exact_add_round(a, b, p, mode, ctx=ctx)
+            assert (got.result, got.ternary) == (want.result, want.ternary)
+            assert got.ternary == 0
+            s = got.stats
+            assert (s.trailing_bits_examined, s.x_limbs_read, s.y_limbs_read) == reads
