@@ -12,8 +12,9 @@ machine-size add never packs a struct; longer runs go through one struct
 call, except that a run led by zero limbs counts them first: an all-zero
 run joins to 0 and a run whose zeros all lead joins only the rest, so the
 zero tail of a value with fewer significant bits than its precision costs
-a count, not a pack.  A one-limb mantissa needs no conversion: `float_from_mantissa`
-stores it padded as its limb, and ``engine._settle`` reads the limb.
+a count, not a pack.  A one-limb mantissa needs no conversion:
+`float_from_mantissa` stores it padded as its limb, and ``engine._settle``
+reads the limb.
 
 Values are immutable.  The precision cap `DEFAULT_MAX_PRECISION` and the
 least exponent `DEFAULT_EMIN` are constants: a sum of positive values is
@@ -204,9 +205,9 @@ class Float:
             isinstance(limb, int) and not isinstance(limb, bool) for limb in limbs
         ):
             raise NotNormalized(f"limbs must be a tuple of ints, got {_quote(limbs)}")
-        if not mantissa_is_normalized(self.limbs, self.precision, self.limb_width):
+        if not mantissa_is_normalized(limbs, self.precision, self.limb_width):
             raise NotNormalized(
-                f"mantissa {_quote(self.limbs)} is not a normalized "
+                f"mantissa {_quote(limbs)} is not a normalized "
                 f"{self.precision}-bit value at width {_quote(self.limb_width)}"
             )
         # The range belongs to the context; the type is checked here so that

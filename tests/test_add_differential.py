@@ -111,8 +111,9 @@ def test_commutes_including_stats():
 def test_rejects_negative_operand():
     x = make_float(-1, 0, 2, "10")
     y = make_float(1, 0, 2, "10")
-    with pytest.raises(ValueError):
-        add_positive(x, y, 2, D)
+    for a, b in ((x, y), (y, x), (x, x)):
+        with pytest.raises(ValueError, match="positive operands only"):
+            add_positive(a, b, 2, D)
 
 
 def test_rejects_mixed_limb_width():

@@ -244,7 +244,7 @@ def test_float_equality_is_structural():
 def _shaped_run(shape: str, count: int, width: int, rng: random.Random) -> tuple[int, ...]:
     """A run of `count` limbs of the named shape; shapes a run too short for
     fall back to what fits (a zero-led run with a later zero needs 3 limbs)."""
-    nonzero = lambda: rng.randrange(1, 1 << width)  # noqa: E731
+    nonzero = lambda: rng.randrange(1, 1 << width)
     if shape == "zeros" or count == 0:
         return (0,) * count
     if shape == "leading_zeros":
@@ -277,19 +277,6 @@ def test_int_from_limbs_matches_one_struct_call_on_shaped_runs(width, shape):
             got = int_from_limbs(limbs, width)
             assert got == int.from_bytes(struct.pack(code, *limbs), "big")
             assert type(got) is int
-
-
-def test_int_from_limbs_on_zero_led_runs_at_the_shift_edge():
-    # The zeros that lead a long run drop, and what is left may be short
-    # enough for the shift join: each split of 5..6 limbs, both widths.
-    for width in (32, 64):
-        one = (1 << width) - 1
-        for count in (5, 6):
-            for lead in range(count + 1):
-                for tail in ((one,) * (count - lead), (1,) * (count - lead)):
-                    limbs = (0,) * lead + tail
-                    want = sum(limb << (width * (count - 1 - i)) for i, limb in enumerate(limbs))
-                    assert int_from_limbs(limbs, width) == want
 
 
 @pytest.mark.parametrize(
@@ -326,3 +313,33 @@ def test_float_accepts_a_tuple_subclass_and_stays_hashable():
     x = Float(1, 0, 2, Limbs((1 << 63,)), 64)
     assert hash(x) == hash(Float(1, 0, 2, (1 << 63,), 64))
     assert x == make_float(1, 0, 2, "10")
+
+
+def test_int_from_limbs_packs_only_what_shifts_and_counts_cannot_join(monkeypatch):
+    # Runs of at most 4 limbs join by shifts, with no struct.  A longer run
+    # led by zeros that all lead it packs only the limbs after them (none
+    # when it is all zeros), so the shift join may take what is left; any
+    # other longer run packs whole.  Every split of the leading zeros is
+    # tried, and each join equals one struct call over the whole run.
+    import xadd.core
+
+    calls = []
+    compile_struct = xadd.core._limb_struct
+    monkeypatch.setattr(
+        xadd.core, "_limb_struct", lambda count, width: calls.append(count) or compile_struct(count, width)
+    )
+    rng = random.Random(14)
+    for width in (32, 64):
+        big = lambda: rng.randrange(2, 1 << width)
+        for count in range(13):
+            for lead in range(count + 1):
+                # limbs -> the length of the run that must be packed
+                cases = {(0,) * lead + tuple(big() for _ in range(count - lead)): count - lead}
+                if 0 < lead < count - 1:  # a later zero keeps the whole run
+                    cases[(0,) * lead + (big(), 0) + tuple(big() for _ in range(count - lead - 2))] = count
+                for limbs, packed in cases.items():
+                    calls.clear()
+                    got = int_from_limbs(limbs, width)
+                    assert calls == ([packed] if packed > 4 else [])
+                    code = f">{count}{'I' if width == 32 else 'Q'}"
+                    assert got == int.from_bytes(struct.pack(code, *limbs), "big")

@@ -266,12 +266,12 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
 
 @pytest.fixture
 def joins(monkeypatch):
-    """Each `_join` call that `_settle` makes, as (xs, ys, top, xv, yv)."""
+    """Each `_join` call that `_settle` makes, as (xs, ys, top, xv, yv, yd)."""
     calls = []
 
     def recording(xs, ys, w, yd, top):
         xv, yv = _join(xs, ys, w, yd, top)
-        calls.append((xs, ys, top, xv, yv))
+        calls.append((xs, ys, top, xv, yv, yd))
         return xv, yv
 
     monkeypatch.setattr(xadd.engine, "_join", recording)
@@ -289,17 +289,24 @@ def _assert_joins_hold_the_mantissas(x, y, p, d, calls) -> int:
     """Settle x + y and check every slice `_settle` joined: on each position
     of the slice, x's int holds x's mantissa bit and y's int holds y's
     (0 where an operand has no bit), both aligned on x's grid.  y's int may
-    carry bits above the slice.  Returns the number of slices."""
+    carry bits above the slice, but every y limb joined overlaps the slice,
+    and no slice after the first runs past the longer operand's last block.
+    Returns the number of slices."""
     calls.clear()
     _settle(x, y, p, d)
     w = x.limb_width
     xm, ym = x.mantissa_int(), y.mantissa_int()
     end = 0
-    for _, _, top, xv, yv in calls:
+    for _, ys, top, xv, yv, yd in calls:
+        # y's run starts at the limb holding the slice's first position, or
+        # later, and its last limb starts inside the slice.
+        assert not ys or (yd > -w and yd + (len(ys) - 1) * w < top)
         end += top  # slices run on from one another; a slice is top bits long
         mask = (1 << top) - 1
         assert xv == _on_grid(xm, len(x.limbs) * w, 0, end) & mask
         assert yv & mask == _on_grid(ym, len(y.limbs) * w, d, end) & mask
+    first = ((p + 2) // w + _FIRST_SLICE) * w
+    assert end <= max(first, -(-max(x.precision, d + y.precision) // w) * w)
     return len(calls)
 
 
@@ -335,6 +342,46 @@ def test_join_holds_the_mantissas_on_later_slices(w, joins):
         later += slices > 1
         aligned += slices > 1 and d % w == 0
     assert later > 150 and aligned > 20
+
+    # fb = 1 from x's ones, which run on past y's start with a single 0
+    # facing y's leading 1, and y's tail complements x's: the pair scan
+    # crosses the gap to y without settling, so later slices start inside
+    # y's first few limbs, or y starts inside a later slice.
+    gap_later = 0
+    for d in range(8, 14 * w, 5):
+        m, n = d + 3 * w, 4 * w
+        tail = rng.getrandbits(m - d - 1)
+        xm = ((1 << d) - 1) << (m - d) | tail
+        ym = 1 << (n - 1) | (~tail & ((1 << (m - d - 1)) - 1)) << (n - m + d)
+        x = make_float_from_int(1, 0, m, xm, ctx=ctx)
+        y = make_float_from_int(1, -d, n, ym, ctx=ctx)
+        gap_later += _assert_joins_hold_the_mantissas(x, y, 5, d, joins) > 1
+        got = add_positive(x, y, 5, RoundingMode.NEAREST_EVEN, ctx=ctx)
+        want = exact_add_round(x, y, 5, RoundingMode.NEAREST_EVEN, ctx=ctx)
+        assert (got.result, got.ternary) == (want.result, want.ternary)
+    assert gap_later > 50
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_join_holds_the_mantissas_after_equal_ones(w, joins):
+    # fb = 1 pairs whose first agreeing pair is two ones at q, after which
+    # the scan looks for a 1 up to the longer operand's end: that end falls
+    # one bit before, at and one bit past a block boundary, so the slice
+    # that reaches it is cut at the end's own block.
+    from .test_scan import _equal_ones_case
+
+    q = w + 1
+    for k in range(5, 40, 3):
+        for end in (k * w - 1, k * w, k * w + 1):
+            for x_end, y_end in ((end, q + 3), (q + 3, end)):
+                for one_at in (None, end):
+                    x, y, ctx = _equal_ones_case(w, q, x_end, y_end, one_at)
+                    assert _assert_joins_hold_the_mantissas(x, y, 5, 7, joins) > 1
+                    mode = RoundingMode.NEAREST_EVEN
+                    got = add_positive(x, y, 5, mode, ctx=ctx)
+                    want = exact_add_round(x, y, 5, mode, ctx=ctx)
+                    assert (got.result, got.ternary) == (want.result, want.ternary)
+                    assert got.stats.q_found_at == q
 
 
 @pytest.mark.parametrize("w", [32, 64])

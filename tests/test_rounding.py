@@ -124,9 +124,11 @@ def test_round_to_prec_carry_crosses_limb_boundary():
 
 
 def test_round_to_prec_identity_at_same_precision():
+    # Exact, so x's exponent is kept even above the context's emax.
     x = make_float(1, 0, 3, "101")
     for mode in RoundingMode:
         assert round_to_prec(x, 3, mode) == (x, 0)
+        assert round_to_prec(x, 3, mode, ctx=Context(emax=-1)) == (x, 0)
 
 
 def test_round_to_prec_widening_pads_zeros():
@@ -135,6 +137,7 @@ def test_round_to_prec_widening_pads_zeros():
     assert rounded.mantissa_bits() == "1010000"
     assert rounded.exponent == 2 and ternary == 0
     assert rounded.as_fraction() == x.as_fraction()
+    assert round_to_prec(x, 7, RoundingMode.DOWN, ctx=Context(emax=1)) == (rounded, 0)
 
 
 def test_round_to_prec_truncates_down():

@@ -15,6 +15,9 @@ slice's end, at an operand's end, and with the trailing 1 near or far.
 `test_reads_equal_the_least_prefix_*` hold the three read counters to
 `_least_prefix`, which finds the fewest trailing bits that settle the class
 from the whole mantissas, with no reference to how the engine scans.
+`test_zero_tails_*` and `test_exact_sum_at_the_cap_*` add 53-bit values
+stored at many times their precision, whose zero tails the fb = 0 scan
+reads to the end when the sum is exact.
 """
 
 import hashlib
