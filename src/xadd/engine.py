@@ -79,21 +79,13 @@ class ScanStats:
     limbs_touched: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AddOutcome:
-    """A rounded sum, its ternary value and what the engine read for it.
-
-    `add_positive` fills the slots through their descriptors' setters, as
-    ``core.float_from_mantissa`` fills a Float's, skipping the frozen
-    ``__init__``'s per-field ``object.__setattr__``.
-    """
+    """A rounded sum, its ternary value and what the engine read for it."""
 
     result: Float
     ternary: int
     stats: ScanStats
-
-
-_OUTCOME_SETTERS = tuple(getattr(AddOutcome, name).__set__ for name in AddOutcome.__slots__)
 
 
 # Limb blocks past the window's last whole block in a pass's first slice;
@@ -286,9 +278,5 @@ def add_positive(
     if exponent > ctx.emax:
         return Overflow(mode, 1, ternary)
 
-    outcome = object.__new__(AddOutcome)
-    set_result, set_ternary, set_stats = _OUTCOME_SETTERS
-    set_result(outcome, float_from_mantissa(1, exponent, precision, mantissa, a.limb_width))
-    set_ternary(outcome, ternary)
-    set_stats(outcome, stats)
-    return outcome
+    result = float_from_mantissa(1, exponent, precision, mantissa, a.limb_width)
+    return AddOutcome(result, ternary, stats)

@@ -436,6 +436,23 @@ def test_scan_stats_keeps_its_defaults_and_stays_assignable():
     )
 
 
+def test_add_outcome_compares_by_fields_and_stays_unhashable():
+    x = make_float(1, 0, 18, "101010000010010001")
+    y = make_float(1, -9, 5, "10001")
+    out = add_positive(x, y, 4, RoundingMode.NEAREST_EVEN)
+    assert out == add_positive(y, x, 4, RoundingMode.NEAREST_EVEN)
+    assert out != exact_add_round(x, y, 4, RoundingMode.NEAREST_EVEN)  # stats differ
+    assert not hasattr(out, "__dict__")  # slotted
+    assert repr(out) == (
+        "AddOutcome(result=Float(sign=1, exponent=0, precision=4, limbs=(12682136550675316736,), "
+        "limb_width=64), ternary=1, stats=ScanStats(x_limbs_read=1, y_limbs_read=0, "
+        "trailing_bits_examined=0, q_found_at=None, limbs_touched=2))"
+    )
+    # The record holds an assignable ScanStats, so it cannot be a dict key.
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(out)
+
+
 # --- the (rb, fb, error class) rows ---------------------------------------
 
 EQ0, GT0, EQU, GTU = (
