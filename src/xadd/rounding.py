@@ -113,10 +113,10 @@ def round_to_prec(
         raise ValueError("round_to_prec handles positive values only")
     check_precision(precision)
     check_mode(mode)
-    w = x.limb_width
-    full = x.mantissa_int() >> (len(x.limbs) * w - x.precision)  # exactly x.precision bits
-    mantissa, carry, ternary = round_magnitude(full, precision, mode)
+    # The storage bits past x.precision are zeros: round_magnitude drops or
+    # pads them exactly, so the mantissa is passed as stored.
+    mantissa, carry, ternary = round_magnitude(x.mantissa_int(), precision, mode)
     exponent = x.exponent + carry
     if precision < x.precision and exponent > ctx.emax:
         return Overflow(mode, x.sign, ternary)
-    return float_from_mantissa(x.sign, exponent, precision, mantissa, w), ternary
+    return float_from_mantissa(x.sign, exponent, precision, mantissa, x.limb_width), ternary

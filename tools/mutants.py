@@ -38,24 +38,21 @@ the tree this list was written for; ``--list`` prints them):
   where ``(window << 1) + 3`` and ``+ 4`` agree above their two lowest
   bits and both leave those nonzero, so `round_magnitude` rounds and
   carries the same.
-- ``engine.py#023``, ``#029`` (lines 110-111) ``xs[-1]``, ``ys[-1]``: the
+- ``engine.py#023``, ``#029`` (lines 102-103) ``xs[-1]``, ``ys[-1]``: the
   run has one limb there.
-- ``engine.py#037``, ``#038`` (line 113) ``shift > 0``, ``shift >= 1``;
-  ``#051``, ``#193``, ``#220`` (lines 156, 221, 235) ``hi >= ls``;
-  ``#122`` (line 201) ``end <= top``; ``#177`` (line 217)
-  ``j + size <= stop``; ``#187``, ``#189`` (line 220) ``ya >= 0``,
-  ``ya > -1``; ``#241``, ``#243`` (line 241) ``hi <= nx``, ``yb <= ny``:
+- ``engine.py#037``, ``#038`` (line 105) ``shift > 0``, ``shift >= 1``;
+  ``#051``, ``#193``, ``#220`` (lines 148, 213, 227) ``hi >= ls``;
+  ``#122`` (line 193) ``end <= top``; ``#177`` (line 209)
+  ``j + size <= stop``; ``#187``, ``#189`` (line 212) ``ya >= 0``,
+  ``ya > -1``; ``#241``, ``#243`` (line 233) ``hi <= nx``, ``yb <= ny``:
   at the boundary both branches give the same value (a shift by 0, an
   empty slice, the same bound or the same clamp).
-- ``engine.py#245`` (line 249) ``_ordered`` with ``>``: it swaps only
+- ``engine.py#245`` (line 241) ``_ordered`` with ``>``: it swaps only
   operands tied on exponent and precision, and `_settle` reads such a
   pair symmetrically, counters included.
-- ``engine.py#248``, ``#249``, ``#251``, ``#252`` (line 269) and
+- ``engine.py#248``, ``#249``, ``#251``, ``#252`` (line 261) and
   ``rounding.py#069``, ``#070`` (line 112) ``sign <= 0``, ``sign < 1``: a
   sign is +1 or -1, so these agree with ``sign < 0``.
-- ``rounding.py#072`` (line 117) ``<<`` for ``>>``: the storage bits below
-  the precision are zero, so the magnitude only gains trailing zeros, which
-  `round_magnitude` drops or pads exactly as before.
 """
 
 from __future__ import annotations
