@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .core import DEFAULT_CONTEXT, DEFAULT_EMIN, DEFAULT_MAX_PRECISION, Context, Float
-from .core import FloatValueError, _clip, make_float_from_int
+from .core import FloatValueError, _clip, check_precision, make_float_from_int
 from .engine import AddOutcome, add_positive
 from .oracle import exact_add_round
 from .rounding import Overflow, RoundingMode, round_to_prec
@@ -75,6 +75,7 @@ def cmd_add(
 ) -> int:
     try:
         operands = [_parse_operand(token) for token in (x_token, y_token) if token is not None]
+        check_precision(precision)
         finite = [value for value in operands if isinstance(value, Float)]
         if not finite:
             # A sum of zeros needs no rounding.  Its sign follows IEEE 754

@@ -109,6 +109,19 @@ def test_add_zeros_keeps_the_ieee_sign(capsys, mode, zeros):
     )
 
 
+@pytest.mark.parametrize("precision", ["0", "1", "-5", "99999999999"])
+@pytest.mark.parametrize("zeros", [["zero(+)", "zero(-)"], ["zero(-)"]])
+def test_add_checks_the_precision_of_a_sum_of_zeros(capsys, precision, zeros):
+    assert run(capsys, "add", "-p", precision, *zeros) == (
+        1, "", f"error: precision must lie in [2, 16777216], got {precision}\n"
+    )
+
+
+def test_add_reports_a_bad_token_before_a_bad_precision(capsys):
+    code, out, err = run(capsys, "add", "-p", "0", "zero(+)", "0.x")
+    assert (code, out) == (1, "") and "0.x" in err and "precision" not in err
+
+
 def test_add_overflow_exit_code(capsys):
     emax = 2**30 - 1
     code, out, _ = run(capsys, "add", "-p", "2", "-m", "up",
