@@ -79,16 +79,21 @@ class Context:
     emax: int = DEFAULT_EMAX
 
     def __post_init__(self) -> None:
-        if self.limb_width not in _LIMB_WIDTHS:
+        # 64.0 would pass the membership test and 1.5 or True the range
+        # test, and then break the int arithmetic of every value built.
+        width, emax = self.limb_width, self.emax
+        if not isinstance(width, int) or isinstance(width, bool) or width not in _LIMB_WIDTHS:
             raise ValueError(f"limb_width must be one of {_LIMB_WIDTHS}")
-        if self.emax < DEFAULT_EMIN:
+        if not isinstance(emax, int) or isinstance(emax, bool):
+            raise ValueError(f"emax must be an int, got {_quote(emax)}")
+        if emax < DEFAULT_EMIN:
             raise ValueError("emin must not exceed emax")
 
     def check_exponent(self, exponent: int) -> None:
         _check_exponent_type(exponent)
         if not DEFAULT_EMIN <= exponent <= self.emax:
             raise ExponentOutOfRange(
-                f"exponent {_quote(exponent)} outside [{DEFAULT_EMIN}, {self.emax}]"
+                f"exponent {_quote(exponent)} outside [{DEFAULT_EMIN}, {_quote(self.emax)}]"
             )
 
 

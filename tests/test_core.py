@@ -1,6 +1,7 @@
 """Value representation: construction, validation, limb storage."""
 
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -94,6 +95,25 @@ def test_context_emax_may_not_fall_below_emin():
     assert Context(emax=DEFAULT_EMIN).emax == DEFAULT_EMIN
     with pytest.raises(ValueError, match="emin must not exceed emax"):
         Context(emax=DEFAULT_EMIN - 1)
+
+
+@pytest.mark.parametrize("width", [64.0, 32.0, 64 + 0j])
+def test_context_refuses_a_limb_width_that_is_not_an_int(width):
+    # 64.0 in (32, 64) holds, and every value built would then shift by a float.
+    with pytest.raises(ValueError, match=r"limb_width must be one of \(32, 64\)"):
+        Context(limb_width=width)
+
+
+@pytest.mark.parametrize("emax", [1.5, True, "7", None, 2.0**30])
+def test_context_refuses_an_emax_that_is_not_an_int(emax):
+    with pytest.raises(ValueError, match=rf"emax must be an int, got {re.escape(repr(emax))}$"):
+        Context(emax=emax)
+
+
+def test_range_error_quotes_an_emax_too_long_for_decimal():
+    ctx = Context(emax=1 << 20000)
+    with pytest.raises(ExponentOutOfRange, match=r"outside \[-1073741823, an int of 20001 bits\]"):
+        make_float(1, 1 << 20001, 2, "10", ctx=ctx)
 
 
 def test_precision_cap_checked():
