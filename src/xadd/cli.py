@@ -116,10 +116,13 @@ def _random_mantissa(rng: random.Random, bits: int) -> int:
     if style == 1:
         return (1 << bits) - 1
     if style == 2:
-        value = top
+        # The bits are set in a buffer and converted once: OR-ing each into
+        # a bits-wide int copies it every time, quadratic in `bits`.
+        buf = bytearray((bits + 7) // 8)
         for _ in range(1 + bits // 8):
-            value |= 1 << rng.randrange(bits)
-        return value
+            i = rng.randrange(bits)
+            buf[i >> 3] |= 1 << (i & 7)
+        return top | int.from_bytes(buf, "little")
     if style == 3:
         run = rng.randint(1, bits)
         return ((1 << run) - 1) << (bits - run)

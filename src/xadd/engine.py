@@ -15,13 +15,14 @@ significant first: `_join` joins a first slice of limbs, the window's
 blocks plus four more, into one integer per operand, and `_settle` cuts the
 window sum from the two integers and goes on from the same two to settle
 eps.  A machine-size add's slice holds each operand whole, so the join gets
-the limb tuples themselves and uses a one-limb operand as its limb.  One
-loop tests slices with one XNOR or OR; with fb = 1, equal ones only settle
-eps >= u and the test goes on for a later 1 in the same slice.  Further
-slices double, so it takes at most about twice the limbs that the walk to
-the settling position covers, and it counts what it read.  An all-zero
-slice, as in the tail of an exact sum, costs a count, not a pack
-(``core.int_from_limbs``).
+the limb tuples themselves and uses a one-limb operand as its limb; most
+such adds settle in that slice, and their cost is mostly bookkeeping, which
+`add_positive` keeps inline.  One loop tests slices with one XNOR or OR;
+with fb = 1, equal ones only settle eps >= u and the test goes on for a
+later 1 in the same slice.  Further slices double, so it takes at most
+about twice the limbs that the walk to the settling position covers, and
+it counts what it read.  An all-zero slice, as in the tail of an exact
+sum, costs a count, not a pack (``core.int_from_limbs``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .core import DEFAULT_CONTEXT, Context, Float, check_precision
+from .core import DEFAULT_CONTEXT, DEFAULT_MAX_PRECISION, Context, Float, check_precision
 from .core import float_from_mantissa, int_from_limbs
 from .rounding import Overflow, RoundingMode, check_mode, round_magnitude
 
@@ -184,10 +185,12 @@ def _settle(
         # crossed.
         y_end = d + n
         agree = fb == 1
-        end = min(m, y_end) if agree else max(m, y_end)
+        if agree:
+            end = m if m < y_end else y_end
+        else:
+            end = m if m > y_end else y_end
         pos, bits = window + 1, 0
         if pos <= end:
-            stop = (end - 1) // w + 1
             size = _FIRST_SLICE
             while True:
                 low = end if end < top else top
@@ -200,12 +203,13 @@ def _settle(
                         # Equal ones at q: test the rest of this slice for a 1;
                         # the next slice takes _FIRST_SLICE blocks again (size
                         # doubles below).
-                        agree, pos, end, size = False, q + 1, max(m, y_end), _FIRST_SLICE // 2
-                        stop = (end - 1) // w + 1
+                        agree, pos, size = False, q + 1, _FIRST_SLICE // 2
+                        end = m if m > y_end else y_end
                         continue
                 if bits or low == end:
                     break
                 pos, j, size = top + 1, hi, 2 * size
+                stop = (end - 1) // w + 1
                 hi = j + size if j + size < stop else stop
                 top = hi * w
                 ya = (pos - 1 - d) // w  # the y limb holding position pos, or y's first
@@ -234,15 +238,6 @@ def _settle(
     )
 
 
-def _ordered(x: Float, y: Float) -> tuple[Float, Float]:
-    # Symmetric in its arguments so that addition commutes exactly,
-    # statistics included: operands tied on exponent and precision have the
-    # same limb count and are read at the same limb indices.
-    if (x.exponent, x.precision) >= (y.exponent, y.precision):
-        return x, y
-    return y, x
-
-
 def add_positive(
     x: Float,
     y: Float,
@@ -257,17 +252,27 @@ def add_positive(
     Both operands must be positive and share a limb width.  Returns an
     Overflow record instead of an outcome when the rounded result's exponent
     would exceed ctx.emax.
+
+    An int precision in range and a RoundingMode pass plain `type` and range
+    tests; `check_precision` and `check_mode` run only on what those refuse,
+    so each refusal keeps its exception and message.
     """
     if x.sign < 0 or y.sign < 0:
         raise ValueError("add_positive handles positive operands only")
     if x.limb_width != y.limb_width:
         raise ValueError("operands must share a limb width")
-    check_precision(precision)
-    check_mode(mode)
+    if not (type(precision) is int and 2 <= precision <= DEFAULT_MAX_PRECISION):
+        check_precision(precision)
+    if type(mode) is not RoundingMode:
+        check_mode(mode)
 
-    a, b = _ordered(x, y)
-    d = a.exponent - b.exponent
-    window, exponent, _, error_class, stats = _settle(a, b, precision, d)
+    # x takes the larger (exponent, precision).  Symmetric in the operands,
+    # so that addition commutes exactly, statistics included: operands tied
+    # on both have the same limb count and are read at the same limb indices.
+    d = x.exponent - y.exponent
+    if d < 0 or d == 0 and x.precision < y.precision:
+        x, y, d = y, x, -d
+    window, exponent, _, error_class, stats = _settle(x, y, precision, d)
     # tail >> 2 is the exact sum's floor in units of 2u (rb's weight) and
     # tail & 3 is nonzero iff anything lies below it: round_magnitude drops at
     # least three digits and reads nothing else.  An error term of u or more
@@ -278,5 +283,5 @@ def add_positive(
     if exponent > ctx.emax:
         return Overflow(mode, 1, ternary)
 
-    result = float_from_mantissa(1, exponent, precision, mantissa, a.limb_width)
+    result = float_from_mantissa(1, exponent, precision, mantissa, x.limb_width)
     return AddOutcome(result, ternary, stats)

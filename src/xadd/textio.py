@@ -30,8 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import DEFAULT_CONTEXT, Context, Float, FloatValueError, NotNormalized
-from .core import _bits_int, _clip, _quote, check_precision, make_float_from_int
+from .core import DEFAULT_CONTEXT, DEFAULT_MAX_PRECISION, Context, Float, FloatValueError
+from .core import InvalidPrecision, NotNormalized, _bits_int, _clip, _quote, check_precision
+from .core import make_float_from_int
 from .rounding import Overflow, RoundingMode
 
 
@@ -66,6 +67,11 @@ def parse_float(token: str, *, ctx: Context = DEFAULT_CONTEXT) -> Float:
         exponent = int(digits)
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"exponent has too many digits ({len(digits)})") from None
+    if not 2 <= len(bits) <= DEFAULT_MAX_PRECISION:  # in the token's words, not a -p option's
+        raise InvalidPrecision(
+            f"a value needs 2 to {DEFAULT_MAX_PRECISION} mantissa bits, "
+            f"{_clip(repr(token))} has {len(bits)}"
+        )
     try:
         return make_float_from_int(1, exponent, len(bits), mantissa, ctx=ctx)
     except NotNormalized:  # after the precision and exponent checks, in make_float's words

@@ -13,6 +13,14 @@ from fractions import Fraction
 from xadd import Float, RoundingMode, make_float_from_int
 
 
+def ordered(x: Float, y: Float) -> tuple[Float, Float]:
+    """x and y with the larger (exponent, precision) first, the order in
+    which `add_positive` hands them to `_settle`."""
+    if (x.exponent, x.precision) >= (y.exponent, y.precision):
+        return x, y
+    return y, x
+
+
 def float_value(x: Float) -> Fraction:
     return x.as_fraction()
 

@@ -28,10 +28,12 @@ from xadd import (
 )
 from xadd.cli import _random_case, main as cli_main
 from xadd.core import DEFAULT_CONTEXT
-from xadd.engine import ErrorClass, _ordered, _settle
+from xadd.engine import ErrorClass, _settle
 from xadd.oracle import ExactSum
 from xadd.rounding import decide_round
 from xadd.textio import parse_fixture_line
+
+from .helpers import ordered
 
 DOWN = RoundingMode.DOWN
 UP = RoundingMode.UP
@@ -216,7 +218,7 @@ def test_02_combine_table_end_to_end() -> None:
 
         x = bits_at(0, x_bits)
         y = bits_at(-d, y_bits)
-        a, b = _ordered(x, y)
+        a, b = ordered(x, y)
         window, _, _, seen_cls, _ = _settle(a, b, p, d)
         seen_rb, seen_fb = window >> 1 & 1, window & 1
         if (seen_rb, seen_fb, seen_cls) != (rb, fb, cls):
@@ -407,7 +409,7 @@ def test_07_short_circuit_soundness() -> None:
     for i in range(n):
         x, y, p = _random_case(rng, 256, DEFAULT_CONTEXT)
         mode = MODES[i % 4]
-        a, b = _ordered(x, y)
+        a, b = ordered(x, y)
         base = add_positive(a, b, p, mode)
         if isinstance(base, Overflow):
             continue

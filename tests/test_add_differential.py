@@ -131,6 +131,40 @@ def test_rejects_precision_below_two():
         add_positive(x, x, 1, D)
 
 
+@pytest.mark.parametrize(
+    "precision, message",
+    [
+        (53.0, "precision must be an int, got 53.0"),
+        (True, "precision must be an int, got True"),
+        ("53", "precision must be an int, got '53'"),
+        (None, "precision must be an int, got None"),
+        (1, f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got 1"),
+        (DEFAULT_MAX_PRECISION + 1, f"precision must lie in [2, {DEFAULT_MAX_PRECISION}], got {DEFAULT_MAX_PRECISION + 1}"),
+    ],
+)
+def test_add_positive_refuses_a_precision_as_check_precision_does(precision, message):
+    # add_positive tests the type and range inline and calls check_precision
+    # only when they fail, so each refusal keeps check_precision's words.
+    from xadd import InvalidPrecision
+
+    x = make_float(1, 0, 2, "11")
+    with pytest.raises(InvalidPrecision) as err:
+        add_positive(x, x, precision, D)
+    assert str(err.value) == message
+
+
+def test_add_positive_takes_an_int_subclass_precision_and_the_bounds():
+    class Bits(int):
+        pass
+
+    x, y = make_float(1, 0, 3, "111"), make_float(1, -2, 2, "11")
+    for p in (2, 53, DEFAULT_MAX_PRECISION):
+        for mode in ALL_MODES:
+            got, want = add_positive(x, y, Bits(p), mode), exact_add_round(x, y, p, mode)
+            assert got == add_positive(x, y, p, mode)
+            assert (got.result, got.ternary) == (want.result, want.ternary)
+
+
 # At p = 4, 0.1011 + 0.10e-5 and 0.10111 round inexactly; 0.1011 + 0.10e-3
 # and 0.1011 are exact.
 _MODE_ENTRY_POINTS = {

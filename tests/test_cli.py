@@ -3,7 +3,9 @@
 import contextlib
 import io
 import os
+import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,6 +119,22 @@ def test_add_checks_the_precision_of_a_sum_of_zeros(capsys, precision, zeros):
     )
 
 
+@pytest.mark.parametrize("tokens", [["0.1", "0.11"], ["0.11", "0.1e-3"]])
+def test_add_names_a_one_bit_token_not_the_precision(capsys, tokens):
+    one_bit = next(t for t in tokens if t.split("e")[0] == "0.1")
+    assert run(capsys, "add", "-p", "53", *tokens) == (
+        1, "", f"error: a value needs 2 to 16777216 mantissa bits, {one_bit!r} has 1\n"
+    )
+
+
+def test_check_names_a_one_bit_token(tmp_path, capsys):
+    fixture = tmp_path / "one_bit.txt"
+    fixture.write_text("0.11 0.1 53 nearest -> 0.111e0 0\n")
+    assert run(capsys, "check", str(fixture)) == (
+        1, "", "error: line 1: a value needs 2 to 16777216 mantissa bits, '0.1' has 1\n"
+    )
+
+
 def test_add_reports_a_bad_token_before_a_bad_precision(capsys):
     code, out, err = run(capsys, "add", "-p", "0", "zero(+)", "0.x")
     assert (code, out) == (1, "") and "0.x" in err and "precision" not in err
@@ -169,6 +187,49 @@ def test_verify_rejects_zero_count(capsys):
 def test_verify_rejects_bad_max_prec(capsys):
     code, _, err = run(capsys, "verify", "--max-prec", "1")
     assert code == 1 and "max-prec" in err
+
+
+def _or_loop_mantissa(rng, bits):
+    """`cli._random_mantissa` with its sparse style written as a loop that
+    ORs one bit at a time into the int: the same draws, in the same order."""
+    top = 1 << (bits - 1)
+    style = rng.randrange(6)
+    if style == 0:
+        return top
+    if style == 1:
+        return (1 << bits) - 1
+    if style == 2:
+        value = top
+        for _ in range(1 + bits // 8):
+            value |= 1 << rng.randrange(bits)
+        return value
+    if style == 3:
+        run = rng.randint(1, bits)
+        return ((1 << run) - 1) << (bits - run)
+    return top | rng.getrandbits(bits - 1)
+
+
+def test_random_mantissa_draws_what_the_or_loop_draws():
+    from xadd.cli import _random_mantissa
+
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for bits in (2, 3, 7, 8, 9, 53, 64, 65, 200, 1031):
+            assert _random_mantissa(rng, bits) == _or_loop_mantissa(ref, bits)
+        assert rng.random() == ref.random()  # both consumed the same draws
+
+
+def test_random_mantissa_sparse_draw_is_not_quadratic():
+    # Seed 7's first style is the sparse one.  OR-ing its 2^19 bits one at a
+    # time into a 2^22-bit int takes tens of seconds.
+    from xadd.cli import _random_mantissa
+
+    assert random.Random(7).randrange(6) == 2
+    bits = 1 << 22
+    t0 = time.perf_counter()
+    value = _random_mantissa(random.Random(7), bits)
+    assert time.perf_counter() - t0 < 10.0
+    assert value.bit_length() == bits and 1 < bin(value).count("1") <= 2 + bits // 8
 
 
 def test_verify_reports_counterexample_on_injected_fault(capsys, monkeypatch):

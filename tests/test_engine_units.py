@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import xadd.engine
 from xadd import Context, RoundingMode, add_positive, exact_add_round, make_float, make_float_from_int
-from xadd.engine import _FIRST_SLICE, ErrorClass, ScanStats, _join, _ordered, _settle
+from xadd.engine import _FIRST_SLICE, ErrorClass, ScanStats, _join, _settle
 
-from .helpers import pow2
+from .helpers import ordered, pow2
 
 
 def align_for(x, y):
@@ -420,7 +420,7 @@ def test_settle_returns_error_class_members():
     from .test_scan import _golden_cases
 
     for x, y, p, _, _ in _golden_cases():
-        a, b = _ordered(x, y)
+        a, b = ordered(x, y)
         assert type(_settle(a, b, p, a.exponent - b.exponent)[3]) is ErrorClass
 
 

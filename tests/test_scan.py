@@ -34,11 +34,15 @@ from xadd import (
     RoundingMode,
     add_positive,
     exact_add_round,
+    make_float,
     make_float_from_int,
     round_to_prec,
 )
 from xadd.cli import _random_case, _random_exponent, _random_mantissa
 from xadd.core import mantissa_is_normalized
+from xadd.engine import ErrorClass, _settle
+
+from .helpers import float_value, frac_round, frac_to_float, ordered
 
 ALL_MODES = list(RoundingMode)
 GOLDEN_DIGEST = "e5a856683a85e633f0eafc6f0c469f826c587265f0a8304b9a6dc3f904ce964f"
@@ -626,3 +630,67 @@ def test_exact_sum_at_the_cap_packs_only_the_first_slice(w, monkeypatch):
             assert got.ternary == 0
             s = got.stats
             assert (s.trailing_bits_examined, s.x_limbs_read, s.y_limbs_read) == reads
+
+
+_ROWS = [
+    (rb, fb, cls)
+    for rb in (0, 1)
+    for fb, cls in (
+        (0, ErrorClass.EQ_ZERO),
+        (0, ErrorClass.GT_ZERO_LT_U),
+        (1, ErrorClass.GT_ZERO_LT_U),
+        (1, ErrorClass.EQ_U),
+        (1, ErrorClass.GT_U),
+    )
+]
+
+
+def _row_case(p, rb, fb, cls, gap, ctx):
+    """x + y whose split lands on the row (rb, fb, cls).  x's window reads
+    1 0...0 rb fb, and y, one binade lower, adds only a 1 at its second
+    position, so nothing carries.  Past the window come `gap` positions that
+    leave the class open, complementary bits with fb = 1 and zeros with
+    fb = 0, then the positions that settle it: with fb = 1, equal zeros
+    (below u), or equal ones followed by zeros (u) or by a later 1 (above)."""
+    if fb:
+        run = ("10" * gap)[:gap]
+        tails = {
+            ErrorClass.GT_ZERO_LT_U: ("01", "01"),
+            ErrorClass.EQ_U: ("100", "100"),
+            ErrorClass.GT_U: ("101", "100"),
+        }[cls]
+        xt, yt = run + tails[0], run.translate(str.maketrans("01", "10")) + tails[1]
+    else:
+        xt = yt = "0" * (gap + 1)
+        if cls == ErrorClass.GT_ZERO_LT_U:
+            yt = yt[:-1] + "1"
+    x_bits = "1" + "0" * (p - 1) + f"{rb}{fb}" + xt
+    y_bits = "1" + "0" * p + yt
+    return make_float(1, 0, len(x_bits), x_bits, ctx=ctx), make_float(1, -1, len(y_bits), y_bits, ctx=ctx)
+
+
+@pytest.mark.parametrize("w", [32, 64])
+@pytest.mark.parametrize("p", [24, 53, 64, 113])
+def test_every_row_at_machine_size(w, p):
+    # Check 3 reaches the EQ_U rows only at 2- to 6-bit mantissas, and random
+    # cases hardly ever do.  Here each of the 10 rows is built at a machine
+    # precision, settled just past the window, across a limb seam and in a
+    # later slice, and held to the oracle, to the rational rounding and to
+    # the least read that settles it.
+    ctx = Context(limb_width=w)
+    assert len(set(_ROWS)) == 10
+    for rb, fb, cls in _ROWS:
+        for gap in (0, 1, w - 1, 5 * w):
+            x, y = _row_case(p, rb, fb, cls, gap, ctx)
+            a, b = ordered(x, y)
+            window, _, _, seen, _ = _settle(a, b, p, a.exponent - b.exponent)
+            assert (window >> 1 & 1, window & 1, seen) == (rb, fb, cls)
+            exact = float_value(x) + float_value(y)
+            for a, b in ((x, y), (y, x)):
+                for mode in ALL_MODES:
+                    got = add_positive(a, b, p, mode, ctx=ctx)
+                    want = exact_add_round(a, b, p, mode, ctx=ctx)
+                    assert (got.result, got.ternary) == (want.result, want.ternary)
+                    mantissa, e, ternary = frac_round(exact, p, mode)
+                    assert (got.result, got.ternary) == (frac_to_float(mantissa, e, p, ctx=ctx), ternary)
+            _assert_reads_the_least_prefix(x, y, p, ctx)

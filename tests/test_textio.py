@@ -13,6 +13,7 @@ from xadd import (
     ExponentOutOfRange,
     FixtureCase,
     FloatValueError,
+    InvalidPrecision,
     NotNormalized,
     Overflow,
     ParseError,
@@ -54,6 +55,12 @@ def test_parse_rejects_single_bit():
 
     with pytest.raises(InvalidPrecision):
         parse_float("0.1")
+
+
+def test_parse_names_a_token_past_the_precision_cap():
+    bits = DEFAULT_MAX_PRECISION + 1
+    with pytest.raises(InvalidPrecision, match=rf"mantissa bits, '0\.111.*\.\.\. \(\d+ characters\) has {bits}$"):
+        parse_float("0." + "1" * bits)
 
 
 def test_parse_rejects_out_of_range_exponent():
@@ -111,6 +118,10 @@ def _parse_float_reference(token, ctx):
         exponent = int(digits)
     except ValueError:
         raise ParseError(f"exponent has too many digits ({len(digits)})") from None
+    if not 2 <= len(bits) <= DEFAULT_MAX_PRECISION:
+        raise InvalidPrecision(
+            f"a value needs 2 to {DEFAULT_MAX_PRECISION} mantissa bits, {token!r} has {len(bits)}"
+        )
     return make_float(1, exponent, len(bits), bits, ctx=ctx)
 
 

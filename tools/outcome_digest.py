@@ -8,7 +8,9 @@ of the input set, the number of outcomes and two SHA-256 digests: ``all``
 over every field (the result's sign, exponent, precision, limbs and limb
 width, the ternary, an ``Overflow``'s mode, sign and ternary, and the five
 ``ScanStats`` fields) and ``results`` over the same without ``ScanStats``.
-Run it once per tree and compare the lines.
+Run it once per tree and compare the lines.  ``tools/outcome_digest.txt``
+holds the two result lines of the current tree, and CI diffs a fresh run
+against it; a change that means to alter an outcome rewrites that file.
 
 The input set, at limb widths 32 and 64, each pair added in both orders:
 
