@@ -4,7 +4,8 @@ Each value carries its own precision; `add_positive` returns the sum of two
 positive values rounded to a caller-chosen target precision, together with
 the ternary comparison of the rounded result against the exact sum.  The
 `oracle` module computes the same answer through plain big integers and is
-used for differential testing.
+used for differential testing.  `__all__` is the library's surface; the
+command line's special tokens and fixture lines live in `xadd.cli`.
 """
 
 from .core import (
@@ -24,20 +25,7 @@ from .core import (
 from .engine import AddOutcome, ScanStats, add_positive
 from .oracle import ExactSum, exact_add, exact_add_round
 from .rounding import Overflow, RoundingMode, round_to_prec
-from .textio import (
-    FixtureCase,
-    ParseError,
-    SpecialValue,
-    format_fixture_line,
-    format_float,
-    format_special,
-    format_ternary,
-    parse_fixture_line,
-    parse_float,
-    parse_mode,
-    parse_ternary,
-    parse_token,
-)
+from .textio import ParseError, format_float, parse_float
 
 __version__ = "0.1.0"
 
@@ -50,7 +38,6 @@ __all__ = [
     "DEFAULT_MAX_PRECISION",
     "ExactSum",
     "ExponentOutOfRange",
-    "FixtureCase",
     "Float",
     "FloatValueError",
     "InvalidPrecision",
@@ -59,20 +46,12 @@ __all__ = [
     "ParseError",
     "RoundingMode",
     "ScanStats",
-    "SpecialValue",
     "add_positive",
     "exact_add",
     "exact_add_round",
-    "format_fixture_line",
     "format_float",
-    "format_special",
-    "format_ternary",
     "make_float",
     "make_float_from_int",
-    "parse_fixture_line",
     "parse_float",
-    "parse_mode",
-    "parse_ternary",
-    "parse_token",
     "round_to_prec",
 ]

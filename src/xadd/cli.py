@@ -9,32 +9,152 @@ Three subcommands:
 * ``xadd check FILE`` replays a fixture file and compares recorded results.
 
 Exit codes: 0 ok, 1 usage or bad input, 2 overflow, 3 mismatch.
+
+Finite values use the grammar of `textio`.  Special values are written as
+tagged tokens: ``nan``, ``inf(+)``, ``inf(-)``, ``zero(+)``, ``zero(-)``,
+and ``overflow(+)`` / ``overflow(-)`` for a reported overflow.  They exist
+only at this layer; the arithmetic core works on finite positive values and
+rejects them.
+
+A fixture line records one addition:
+
+    x y p mode -> result ternary
+
+with ``#`` starting a comment and blank lines ignored, e.g.
+
+    0.101111100101 0.11010e-7 2 nearest -> 0.11e0 +1
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import DEFAULT_CONTEXT, DEFAULT_EMIN, DEFAULT_MAX_PRECISION, Context, Float
-from .core import FloatValueError, _clip, check_precision, make_float_from_int
+from .core import FloatValueError, _clip, _quote, check_precision, make_float_from_int
 from .engine import AddOutcome, add_positive
 from .oracle import exact_add_round
 from .rounding import Overflow, RoundingMode, round_to_prec
-from .textio import (
-    FixtureCase,
-    ParseError,
-    SpecialValue,
-    format_fixture_line,
-    format_outcome,
-    format_special,
-    format_ternary,
-    parse_fixture_line,
-    parse_int,
-    parse_token,
-)
+from .textio import ParseError, format_float, parse_float, parse_int
+
+_SPECIAL_RE = re.compile(r"(?P<kind>nan|inf|zero|overflow)(?:\((?P<sign>[+-])\))?\Z")
+_TERNARY = {"-1": -1, "0": 0, "+1": 1}
+
+
+@dataclass(frozen=True)
+class SpecialValue:
+    """A tagged non-finite token; `sign` is +1 or -1 (nan carries +1)."""
+
+    kind: str  # "nan" | "inf" | "zero" | "overflow"
+    sign: int
+
+
+def parse_token(token: str) -> Float | SpecialValue:
+    """Parse either a finite value or one of the special tagged tokens."""
+    special = _SPECIAL_RE.match(token)
+    if special is not None:
+        kind = special.group("kind")
+        sign = special.group("sign")
+        if kind == "nan" and sign is not None:
+            raise ParseError("nan does not take a sign tag")
+        if kind != "nan" and sign is None:
+            raise ParseError(f"{kind} needs a sign tag, e.g. {kind}(+)")
+        return SpecialValue(kind, -1 if sign == "-" else 1)
+    return parse_float(token)
+
+
+def format_special(value: SpecialValue | Overflow) -> str:
+    """The tagged token of a special value; an Overflow is an overflow token."""
+    kind = "overflow" if isinstance(value, Overflow) else value.kind
+    if kind == "nan":
+        return "nan"
+    return f"{kind}({'+' if value.sign > 0 else '-'})"
+
+
+def format_ternary(ternary: int) -> str:
+    if ternary not in (-1, 0, 1):
+        raise ValueError(f"ternary must be -1, 0 or +1, got {_quote(ternary)}")
+    return {-1: "-1", 0: "0", 1: "+1"}[ternary]
+
+
+def format_outcome(result: Float | Overflow | SpecialValue, ternary: int) -> str:
+    """A value, or the token of an Overflow or special value, and the ternary."""
+    token = format_float(result) if isinstance(result, Float) else format_special(result)
+    return f"{token} {format_ternary(ternary)}"
+
+
+def parse_ternary(token: str) -> int:
+    try:
+        return _TERNARY[token]
+    except KeyError:
+        raise ParseError(f"not a ternary token: {_clip(repr(token))}") from None
+
+
+def parse_mode(token: str) -> RoundingMode:
+    try:
+        return RoundingMode(token)
+    except ValueError:
+        raise ParseError(f"not a rounding mode: {_clip(repr(token))}") from None
+
+
+@dataclass(frozen=True)
+class FixtureCase:
+    """One recorded addition; `expected` is a Float or an overflow token."""
+
+    x: Float
+    y: Float
+    precision: int
+    mode: RoundingMode
+    expected: Float | SpecialValue
+    ternary: int
+
+
+def parse_fixture_line(line: str) -> FixtureCase | None:
+    """Parse one fixture line; returns None for blanks and comments."""
+    text = line.split("#", 1)[0].strip()
+    if not text:
+        return None
+    fields = text.split()
+    if len(fields) != 7 or fields[4] != "->":
+        raise ParseError(
+            "fixture line must read 'x y p mode -> result ternary', got: " + _clip(text)
+        )
+    try:
+        precision = parse_int(fields[2])
+    except ParseError:
+        raise ParseError(f"not a precision: {_clip(repr(fields[2]))}") from None
+    try:
+        check_precision(precision)
+        x = parse_float(fields[0])
+        y = parse_float(fields[1])
+        expected = parse_token(fields[5])
+    except FloatValueError as err:
+        raise ParseError(str(err)) from None
+    if isinstance(expected, SpecialValue) and expected.kind != "overflow":
+        raise ParseError(f"recorded result must be a value or overflow: {fields[5]!r}")
+    return FixtureCase(
+        x, y, precision, parse_mode(fields[3]), expected, parse_ternary(fields[6])
+    )
+
+
+def format_fixture_line(
+    x: Float,
+    y: Float,
+    precision: int,
+    mode: RoundingMode,
+    result: Float | Overflow,
+    ternary: int,
+) -> str:
+    """Render one addition as a fixture line."""
+    return (
+        f"{format_float(x)} {format_float(y)} {precision} {mode.value}"
+        f" -> {format_outcome(result, ternary)}"
+    )
+
 
 _MODE_NAMES = [mode.value for mode in RoundingMode]
 
@@ -83,7 +203,7 @@ def cmd_add(
             # sign -0 under roundTowardNegative (down) only.
             signs = [zero.sign for zero in operands]
             sign = min(signs) if mode is RoundingMode.DOWN else max(signs)
-            print(f"{format_special(SpecialValue('zero', sign))} {format_ternary(0)}")
+            print(format_outcome(SpecialValue("zero", sign), 0))
             return 0
         if len(finite) == 1:
             rounded = round_to_prec(finite[0], precision, mode)
@@ -186,13 +306,6 @@ def cmd_verify(seed: int, count: int, max_prec: int) -> int:
     return 0
 
 
-def _matches_expected(outcome: AddOutcome | Overflow, case: FixtureCase) -> bool:
-    value, ternary = _result_of(outcome)
-    if isinstance(value, Overflow):
-        value = SpecialValue("overflow", value.sign)
-    return (value, ternary) == (case.expected, case.ternary)
-
-
 def cmd_check(path: str) -> int:
     try:
         text = Path(path).read_text()
@@ -211,11 +324,12 @@ def cmd_check(path: str) -> int:
             continue
         count += 1
         outcome = add_positive(case.x, case.y, case.precision, case.mode)
-        if _matches_expected(outcome, case):
+        got = format_outcome(*_result_of(outcome))
+        if got == format_outcome(case.expected, case.ternary):
             print(f"ok   line {lineno}")
         else:
             mismatches += 1
-            print(f"FAIL line {lineno}: got {format_outcome(*_result_of(outcome))}")
+            print(f"FAIL line {lineno}: got {got}")
     if mismatches:
         print(f"FAIL n={count} mismatches={mismatches}")
         return 3

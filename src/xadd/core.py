@@ -42,7 +42,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 
 DEFAULT_EMIN = 1 - 2**30
 DEFAULT_EMAX = 2**30 - 1
@@ -227,15 +226,6 @@ class Float:
         """The p significant mantissa bits as a '0'/'1' string."""
         width = len(self.limbs) * self.limb_width
         return format(self.mantissa_int(), f"0{width}b")[: self.precision]
-
-    def as_fraction(self) -> Fraction:
-        """Exact rational value; intended for tests and diagnostics."""
-        width = len(self.limbs) * self.limb_width
-        shift = self.exponent - width
-        mag = self.mantissa_int()
-        if shift >= 0:
-            return Fraction(self.sign * (mag << shift))
-        return Fraction(self.sign * mag, 1 << -shift)
 
 
 def make_float(

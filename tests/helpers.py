@@ -22,7 +22,8 @@ def ordered(x: Float, y: Float) -> tuple[Float, Float]:
 
 
 def float_value(x: Float) -> Fraction:
-    return x.as_fraction()
+    """The exact rational value of x."""
+    return x.sign * x.mantissa_int() * pow2(x.exponent - len(x.limbs) * x.limb_width)
 
 
 def pow2(e: int) -> Fraction:

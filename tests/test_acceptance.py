@@ -31,7 +31,7 @@ from xadd.core import DEFAULT_CONTEXT
 from xadd.engine import ErrorClass, _settle
 from xadd.oracle import ExactSum
 from xadd.rounding import decide_round
-from xadd.textio import parse_fixture_line
+from xadd.cli import parse_fixture_line
 
 from .helpers import ordered
 

@@ -11,15 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xadd import (
-    DEFAULT_MAX_PRECISION,
-    Overflow,
-    RoundingMode,
-    parse_fixture_line,
-    parse_float,
-    parse_ternary,
-)
-from xadd.cli import main
+from xadd import DEFAULT_MAX_PRECISION, Overflow, RoundingMode, parse_float
+from xadd.cli import main, parse_fixture_line, parse_ternary
 
 FIXTURE = "tests/fixtures/reference_sums.txt"
 

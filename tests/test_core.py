@@ -24,17 +24,19 @@ from xadd import (
 )
 from xadd.core import DEFAULT_EMIN, DEFAULT_MAX_PRECISION, _clip
 from xadd.core import int_from_limbs, limb_count, limbs_from_int, mantissa_is_normalized
-from xadd.textio import format_ternary
+from xadd.cli import format_ternary
+
+from .helpers import float_value
 
 
 def test_make_float_half():
     x = make_float(1, 0, 2, "10")
-    assert x.as_fraction() == Fraction(1, 2)
+    assert float_value(x) == Fraction(1, 2)
     assert x.sign == 1 and x.exponent == 0 and x.precision == 2
 
 
 def test_make_float_five():
-    assert make_float(1, 3, 3, "101").as_fraction() == 5
+    assert float_value(make_float(1, 3, 3, "101")) == 5
 
 
 def test_make_float_rejects_leading_zero():
@@ -191,7 +193,7 @@ def test_messages_stay_short_for_a_huge_int_or_a_long_non_int(build, error, pref
 
 def test_negative_sign_is_representable():
     x = make_float(-1, 0, 2, "10")
-    assert x.as_fraction() == Fraction(-1, 2)
+    assert float_value(x) == Fraction(-1, 2)
 
 
 @pytest.mark.parametrize("width", [32, 64])
@@ -219,7 +221,7 @@ def test_round_trip_random_mantissas(p, data, width):
     ctx = Context(limb_width=width)
     x = make_float_from_int(1, -7, p, mant, ctx=ctx)
     assert int(x.mantissa_bits(), 2) == mant
-    assert x.as_fraction() == Fraction(mant, 1 << p) * Fraction(2) ** -7
+    assert float_value(x) == Fraction(mant, 1 << p) * Fraction(2) ** -7
 
 
 def test_validator_rejects_dirty_storage_bits():

@@ -16,7 +16,7 @@ from xadd import (
     make_float,
 )
 
-from .helpers import frac_round, pow2
+from .helpers import float_value, frac_round, pow2
 
 
 def test_exact_add_one():
@@ -47,8 +47,12 @@ def test_exact_add_magnitude_is_odd():
 
 def test_exact_add_rejects_negative():
     x = make_float(-1, 0, 2, "10")
-    with pytest.raises(ValueError):
-        exact_add(x, x)
+    y = make_float(1, 0, 2, "10")
+    for a, b in ((x, x), (x, y), (y, x)):
+        with pytest.raises(ValueError, match="positive operands only"):
+            exact_add(a, b)
+        with pytest.raises(ValueError, match="positive operands only"):
+            exact_add_round(a, b, 2, RoundingMode.NEAREST_EVEN)
 
 
 @given(
@@ -64,7 +68,7 @@ def test_exact_add_matches_rational_sum(m, n, d, e, data):
     x = make_float(1, e, m, format(mx, f"0{m}b"))
     y = make_float(1, e - d, n, format(my, f"0{n}b"))
     total = exact_add(x, y)
-    assert Fraction(total.magnitude) * pow2(total.exponent2) == x.as_fraction() + y.as_fraction()
+    assert Fraction(total.magnitude) * pow2(total.exponent2) == float_value(x) + float_value(y)
     assert total.magnitude & 1 or total.exponent2 == min(
         x.exponent - x.precision, y.exponent - y.precision
     )
@@ -110,7 +114,7 @@ def test_exact_add_round_matches_rational_reference(m, n, d, p, e, mode, data):
     y = make_float(1, e - d, n, format(my, f"0{n}b"))
     out = exact_add_round(x, y, p, mode)
     want_mant, want_e, want_ternary = frac_round(
-        x.as_fraction() + y.as_fraction(), p, mode
+        float_value(x) + float_value(y), p, mode
     )
     assert int(out.result.mantissa_bits(), 2) == want_mant
     assert out.result.exponent == want_e

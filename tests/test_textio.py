@@ -11,22 +11,24 @@ from hypothesis import strategies as st
 from xadd import (
     Context,
     ExponentOutOfRange,
-    FixtureCase,
     FloatValueError,
     InvalidPrecision,
     NotNormalized,
     Overflow,
     ParseError,
     RoundingMode,
-    SpecialValue,
-    format_fixture_line,
     format_float,
-    format_special,
-    format_ternary,
     make_float,
     make_float_from_int,
-    parse_fixture_line,
     parse_float,
+)
+from xadd.cli import (
+    FixtureCase,
+    SpecialValue,
+    format_fixture_line,
+    format_special,
+    format_ternary,
+    parse_fixture_line,
     parse_mode,
     parse_ternary,
     parse_token,
