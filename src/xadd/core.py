@@ -2,19 +2,17 @@
 
 A value is ``sign * 0.b1 b2 ... bp * 2**exponent`` with ``b1 = 1``: the
 mantissa is a pure fraction in [1/2, 1), there is no hidden bit and there
-are no subnormals.  Mantissa bits are stored in an array of machine-word
-limbs, most significant limb first; bits of the lowest limb that lie below
-the precision are kept at zero so that two equal values always have equal
-storage.  `limbs_from_int` and `int_from_limbs` convert between that
-storage and Python integers: runs of at most `_SHIFT_LIMBS` (4) limbs are
-joined with shifts, and splits into 2 limbs are made with shifts, so that a
-machine-size add never packs a struct; longer runs go through one struct
-call, except that a run led by zero limbs counts them first: an all-zero
-run joins to 0 and a run whose zeros all lead joins only the rest, so the
-zero tail of a value with fewer significant bits than its precision costs
-a count, not a pack.  A one-limb mantissa needs no conversion:
-`float_from_mantissa` stores it padded as its limb, and ``engine._settle``
-reads the limb.
+are no subnormals.  Mantissa bits are stored as an array of machine-word
+limbs, most significant limb first, held in one big-endian ``bytes``
+buffer, `Float.limb_bytes`, of ``limb_width // 8`` bytes per limb; bits of
+the lowest limb that lie below the precision are kept at zero so that two
+equal values always have equal storage.  A run of limbs is one slice of
+the buffer and joins into an int with one ``int.from_bytes``, at any
+length, so a k-limb prefix costs O(k) to read: a single-int mantissa, whose
+every shift costs O(n), would give that up.  `float_from_mantissa` stores a
+mantissa with one ``to_bytes``.  Only the limb tuple that ``Float(...)``
+takes and the `Float.limbs` view go through a struct (`_limb_struct`), one
+pack or unpack per call.
 
 Values are immutable.  The precision cap `DEFAULT_MAX_PRECISION` and the
 least exponent `DEFAULT_EMIN` are constants: a sum of positive values is
@@ -26,15 +24,15 @@ Each value is validated once, by whoever builds it:
 - ``Float(...)`` is the validating constructor for storage given from
   outside: it checks the sign, the precision, the exponent's type, that the
   limbs are a tuple of ints (not bools) and, limb by limb, that the
-  mantissa is normalized.
+  mantissa is normalized, and then packs the limbs into the buffer.
 - `make_float` and `make_float_from_int` check the precision range, the
   exponent range, the digits or the leading bit, and the sign.
   A mantissa written out is read once: `_bits_int` guards one
   ``int(bits, 2)``, and `make_float` and ``textio.parse_float`` share it.
 - `float_from_mantissa` is the one trusted builder of the values the
   library computes.  It checks only the mantissa's leading bit and fills the
-  slots directly, skipping ``Float.__post_init__``, because it produces the
-  limbs itself.  Tests check its results with `mantissa_is_normalized`.
+  slots directly, skipping ``Float.__init__``'s checks, because it produces
+  the buffer itself.  Tests check its results with `mantissa_is_normalized`.
 """
 
 from __future__ import annotations
@@ -184,48 +182,78 @@ def mantissa_is_normalized(limbs: tuple[int, ...], precision: int, limb_width: i
     return spare == 0 or not limbs[-1] & ((1 << spare) - 1)
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=256)
+def _limb_struct(count: int, limb_width: int) -> struct.Struct:
+    # The codec between a limb tuple and the buffer, compiled once per
+    # length: only ``Float(...)`` and `Float.limbs` use it, never an add.
+    return struct.Struct(f">{count}{_LIMB_CODES[limb_width]}")
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Float:
     """An immutable normalized value ``sign * 0.b1..bp * 2**exponent``.
 
-    ``limbs`` holds the mantissa most significant limb first; bit i (1-based,
-    bit 1 is the leading 1) lives in ``limbs[(i-1) // limb_width]``.
+    ``Float(sign, exponent, precision, limbs, limb_width)`` takes the
+    mantissa as a tuple of limbs, most significant first: bit i (1-based, bit
+    1 is the leading 1) lives in ``limbs[(i-1) // limb_width]``.  It is
+    stored as ``limb_bytes``, those limbs big-endian in one buffer of
+    ``limb_width // 8`` bytes each, and ``limbs`` unpacks them again.  Values
+    compare by their fields, and the hash and repr are those of the fields
+    with the limbs as a tuple.
     """
 
     sign: int
     exponent: int
     precision: int
-    limbs: tuple[int, ...]
+    limb_bytes: bytes
     limb_width: int
 
-    def __post_init__(self) -> None:
-        _check_sign(self.sign)
-        check_precision(self.precision)
+    def __init__(
+        self, sign: int, exponent: int, precision: int, limbs: tuple[int, ...], limb_width: int
+    ) -> None:
+        _check_sign(sign)
+        check_precision(precision)
         # A list would make the value mutable and unhashable, and a float,
         # str or bool limb would reach the word-range test as a TypeError or
         # as a bit pattern; a tuple subclass stays allowed.
-        limbs = self.limbs
         if not isinstance(limbs, tuple) or not all(
             isinstance(limb, int) and not isinstance(limb, bool) for limb in limbs
         ):
             raise NotNormalized(f"limbs must be a tuple of ints, got {_quote(limbs)}")
-        if not mantissa_is_normalized(limbs, self.precision, self.limb_width):
+        if not mantissa_is_normalized(limbs, precision, limb_width):
             raise NotNormalized(
                 f"mantissa {_quote(limbs)} is not a normalized "
-                f"{self.precision}-bit value at width {_quote(self.limb_width)}"
+                f"{precision}-bit value at width {_quote(limb_width)}"
             )
         # The range belongs to the context; the type is checked here so that
         # no value can carry an exponent that formats as text parse rejects.
-        _check_exponent_type(self.exponent)
+        _check_exponent_type(exponent)
+        buffer = _limb_struct(len(limbs), limb_width).pack(*limbs)
+        for store, value in zip(_SLOT_SETTERS, (sign, exponent, precision, buffer, limb_width)):
+            store(self, value)
+
+    @property
+    def limbs(self) -> tuple[int, ...]:
+        """The mantissa's limbs, most significant first, as a tuple of ints."""
+        buffer, width = self.limb_bytes, self.limb_width
+        return _limb_struct(len(buffer) // (width >> 3), width).unpack(buffer)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.exponent, self.precision, self.limbs, self.limb_width))
+
+    def __repr__(self) -> str:
+        return (
+            f"Float(sign={self.sign!r}, exponent={self.exponent!r}, precision={self.precision!r}, "
+            f"limbs={self.limbs!r}, limb_width={self.limb_width!r})"
+        )
 
     def mantissa_int(self) -> int:
         """The mantissa as one integer of len(limbs)*limb_width bits."""
-        return int_from_limbs(self.limbs, self.limb_width)
+        return int.from_bytes(self.limb_bytes, "big")
 
     def mantissa_bits(self) -> str:
         """The p significant mantissa bits as a '0'/'1' string."""
-        width = len(self.limbs) * self.limb_width
-        return format(self.mantissa_int(), f"0{width}b")[: self.precision]
+        return format(self.mantissa_int(), f"0{len(self.limb_bytes) * 8}b")[: self.precision]
 
 
 def make_float(
@@ -273,7 +301,7 @@ def make_float_from_int(
 
 
 # Each slot's setter, looked up once.  A frozen Float refuses assignment, so
-# float_from_mantissa stores through the slot descriptors: the store that
+# its builders store through the slot descriptors: the store that
 # object.__setattr__ makes after finding the descriptor by name, at half the cost.
 _SLOT_SETTERS = tuple(getattr(Float, name).__set__ for name in Float.__slots__)
 
@@ -284,68 +312,21 @@ def float_from_mantissa(
     """The trusted builder: a Float from a `precision`-bit mantissa int.
 
     Raises NotNormalized unless the mantissa has exactly `precision` bits
-    with a leading 1, and checks nothing else.  The limbs are then normalized
-    by construction, so ``Float.__post_init__`` is skipped: pass only values
-    the library computed, never input from outside.
+    with a leading 1, and checks nothing else.  The buffer is then normalized
+    by construction, so ``Float.__init__``'s checks are skipped: pass only
+    values the library computed, never input from outside.
     """
     if mantissa >> (precision - 1) != 1:
         raise NotNormalized(
             f"mantissa {_clip(format(mantissa, '#x'))} does not have exactly"
             f" {precision} bits with a leading 1"
         )
-    if precision <= limb_width:  # one limb: the mantissa padded with zeros
-        limbs = (mantissa << (-precision % limb_width),)
-    else:
-        total = limb_count(precision, limb_width) * limb_width
-        limbs = limbs_from_int(mantissa << (total - precision), total, limb_width)
+    pad = -precision % limb_width  # zeros below the precision in the last limb
     x = object.__new__(Float)
-    set_sign, set_exponent, set_precision, set_limbs, set_width = _SLOT_SETTERS
+    set_sign, set_exponent, set_precision, set_bytes, set_width = _SLOT_SETTERS
     set_sign(x, sign)
     set_exponent(x, exponent)
     set_precision(x, precision)
-    set_limbs(x, limbs)
+    set_bytes(x, (mantissa << pad).to_bytes((precision + pad) >> 3, "big"))
     set_width(x, limb_width)
     return x
-
-
-# Longest limb run joined by shifts.  A shift-or loop copies the growing
-# int once per limb, so it is quadratic in the run's length: longer runs go
-# through one struct pack and one from_bytes, linear at any length.
-_SHIFT_LIMBS = 4
-
-
-@lru_cache(maxsize=256)
-def _limb_struct(count: int, limb_width: int) -> struct.Struct:
-    # Compiled once per length, for runs longer than _SHIFT_LIMBS (joins) or
-    # other than two limbs (splits): shorter ones, every machine-size add's,
-    # go by shifts, which cost less than this lookup alone.
-    return struct.Struct(f">{count}{_LIMB_CODES[limb_width]}")
-
-
-def limbs_from_int(value: int, total_bits: int, limb_width: int) -> tuple[int, ...]:
-    """Split a `total_bits`-wide integer into limbs, most significant first."""
-    count = total_bits // limb_width
-    if count == 2:
-        return (value >> limb_width, value & ((1 << limb_width) - 1))
-    raw = value.to_bytes(total_bits // 8, "big")
-    return _limb_struct(count, limb_width).unpack(raw)
-
-
-def int_from_limbs(limbs: tuple[int, ...], limb_width: int) -> int:
-    """Join limbs, most significant first, into one len(limbs)*limb_width-bit integer.
-
-    A run longer than _SHIFT_LIMBS whose first limb is 0, such as a slice of
-    an exact sum's zero tail, has its zeros counted once: when they all lead
-    the run, only the limbs after them are joined, none for an all-zero run,
-    so a zero costs a count, not a pack.  Any other run packs whole.
-    """
-    if len(limbs) <= _SHIFT_LIMBS:
-        value = 0
-        for limb in limbs:
-            value = value << limb_width | limb
-        return value
-    if not limbs[0]:
-        rest = limbs[limbs.count(0) :]
-        if 0 not in rest:  # the run's zeros all lead it
-            return int_from_limbs(rest, limb_width)
-    return int.from_bytes(_limb_struct(len(limbs), limb_width).pack(*limbs), "big")

@@ -11,18 +11,18 @@ The rounding then depends only on the window and on how eps compares with
 0 and u: `add_positive` appends that class to the window as one more digit
 in units of u/2 and rounds the tail with `rounding.round_magnitude`, the
 rounding of the integer path.  `_settle` reads each operand once, most
-significant first: `_join` joins a first slice of limbs, the window's
-blocks plus four more, into one integer per operand, and `_settle` cuts the
-window sum from the two integers and goes on from the same two to settle
-eps.  A machine-size add's slice holds each operand whole, so the join gets
-the limb tuples themselves and uses a one-limb operand as its limb; most
-such adds settle in that slice, and their cost is mostly bookkeeping, which
-`add_positive` keeps inline.  One loop tests slices with one XNOR or OR;
-with fb = 1, equal ones only settle eps >= u and the test goes on for a
-later 1 in the same slice.  Further slices double, so it takes at most
-about twice the limbs that the walk to the settling position covers, and
-it counts what it read.  An all-zero slice, as in the tail of an exact
-sum, costs a count, not a pack (``core.int_from_limbs``).
+significant first, in slices of its limb buffer (``Float.limb_bytes``): a
+first slice, the window's blocks plus four more, and then slices that
+double.  Each slice is joined into one integer per operand by one
+``int.from_bytes``, at any length and whatever its limbs hold; `_settle`
+cuts the window sum from the first two integers and goes on from the same
+two to settle eps.  A machine-size add's first slice holds each operand
+whole, so its join takes the buffers themselves; most such adds settle
+there, and their cost is mostly bookkeeping, which `add_positive` keeps
+inline.  One loop tests slices with one XNOR or OR; with fb = 1, equal ones
+only settle eps >= u and the test goes on for a later 1 in the same slice.
+The doubling takes at most about twice the limbs that the walk to the
+settling position covers, and `_settle` counts what it read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .core import DEFAULT_CONTEXT, DEFAULT_MAX_PRECISION, Context, Float, check_precision
-from .core import float_from_mantissa, int_from_limbs
+from .core import float_from_mantissa
 from .rounding import Overflow, RoundingMode, check_mode, round_magnitude
 
 
@@ -95,15 +95,17 @@ class AddOutcome:
 _FIRST_SLICE = 4
 
 
-def _join(xs: tuple[int, ...], ys: tuple[int, ...], w: int, yd: int, top: int) -> tuple[int, int]:
-    """A run of x's limbs and a run of y's, each joined into one int on x's
-    grid.  Positions count from the start of x's run: y's run starts at yd,
-    and the bit at position top gets weight 1, so y's bits past it drop.
-    A one-limb run is used as its limb."""
-    xv = xs[0] if len(xs) == 1 else int_from_limbs(xs, w)
-    yv = ys[0] if len(ys) == 1 else int_from_limbs(ys, w)
-    shift = top - yd - len(ys) * w
-    return xv << (top - len(xs) * w), yv << shift if shift >= 0 else yv >> -shift
+# Looked up once: every slice of every add joins through it.
+_from_bytes = int.from_bytes
+
+
+def _join(xs: bytes, ys: bytes, yd: int, top: int) -> tuple[int, int]:
+    """A run of x's limb bytes and a run of y's, each joined into one int on
+    x's grid.  Positions count from the start of x's run: y's run starts at
+    yd, and the bit at position top gets weight 1, so y's bits past it drop."""
+    shift = top - yd - len(ys) * 8
+    xv, yv = _from_bytes(xs, "big") << (top - len(xs) * 8), _from_bytes(ys, "big")
+    return xv, yv << shift if shift >= 0 else yv >> -shift
 
 
 def _settle(
@@ -133,20 +135,27 @@ def _settle(
 
     The first slice spans the window's blocks and _FIRST_SLICE more, and
     each later slice starts at the next block and at the y limb holding its
-    first position; `_join` joins what each slice takes from x and y.  One
-    loop tests each slice with one XNOR or OR, and after equal ones goes on
-    with OR in the same slice.  The stats charge what a walk one block at a
-    time would consult up to the settling position, the window's limbs at
-    least.
+    first position; each slice's runs of x and y are joined on x's grid, the
+    first in `_settle` and the later ones by `_join`.  One loop tests each
+    slice with one XNOR or OR, and after equal ones goes on with OR in the
+    same slice.  The stats charge what a walk one block at a time would
+    consult up to the settling position, the window's limbs at least.
     """
     w = x.limb_width
-    xl, yl = x.limbs, y.limbs
+    b = w >> 3  # bytes per limb
+    xl, yl = x.limb_bytes, y.limb_bytes
     m, n = x.precision, y.precision
     window = precision + 2
     ls = d // w
     hi = window // w + _FIRST_SLICE
     top = hi * w
-    xv, yv = _join(xl[:hi], yl[: hi - ls if hi > ls else 0], w, d, top)
+    yb = hi - ls if hi > ls else 0  # y's limbs up to the slice's end
+    # The first slice is joined here, as `_join` joins the later ones: most
+    # adds join only this one, and the call would cost them about 4%.
+    xs, ys = xl[: hi * b], yl[: yb * b]
+    shift = top - d - len(ys) * 8
+    xv, yv = _from_bytes(xs, "big") << (top - len(xs) * 8), _from_bytes(ys, "big")
+    yv = yv << shift if shift >= 0 else yv >> -shift
     total = (xv >> (top - window)) + (yv >> (top - window))
     exponent = x.exponent
     shifted_out = None
@@ -212,9 +221,10 @@ def _settle(
                 stop = (end - 1) // w + 1
                 hi = j + size if j + size < stop else stop
                 top = hi * w
+                yb = hi - ls if hi > ls else 0
                 ya = (pos - 1 - d) // w  # the y limb holding position pos, or y's first
                 ya = ya if ya > 0 else 0
-                xv, yv = _join(xl[j:hi], yl[ya : hi - ls if hi > ls else 0], w, d + (ya - j) * w, top - j * w)
+                xv, yv = _join(xl[j * b : hi * b], yl[ya * b : yb * b], d + (ya - j) * w, top - j * w)
             settled = low + 1 - bits.bit_length() if bits else end
             examined += settled - window
             block = (settled - 1) // w
@@ -228,7 +238,7 @@ def _settle(
 
     # Slices only move forward, so the last one's clamped ends are each
     # operand's high-water mark.
-    nx, ny, yb = len(xl), len(yl), hi - ls if hi > ls else 0
+    nx, ny = len(xl) // b, len(yl) // b
     return total, exponent, shifted_out, cls, ScanStats(
         block + 1 if block < nx else nx,
         (block - ls + 1 if block - ls < ny else ny) if y_seen else 0,

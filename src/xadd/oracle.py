@@ -4,9 +4,9 @@ This module exists to check the limb engine by a second route to the sum:
 both operands are expanded into a single unbounded integer each, added
 exactly, and the sum is rounded by `round_magnitude`, which extracts the
 rounding bit and a full OR over every lower bit.  Besides the value type
-and limb codec in `core`, the engine shares only that rounding, which it
-applies to its window and error class; the tests' `Fraction` rounding
-checks `round_magnitude` on its own.  Clarity wins over speed throughout.
+in `core`, the engine shares only that rounding, which it applies to its
+window and error class; the tests' `Fraction` rounding checks
+`round_magnitude` on its own.  Clarity wins over speed throughout.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def exact_add(x: Float, y: Float) -> ExactSum:
         raise ValueError("exact_add handles positive operands only")
     mx = x.mantissa_int()
     my = y.mantissa_int()
-    ex = x.exponent - len(x.limbs) * x.limb_width
-    ey = y.exponent - len(y.limbs) * y.limb_width
+    ex = x.exponent - len(x.limb_bytes) * 8
+    ey = y.exponent - len(y.limb_bytes) * 8
     low = min(ex, ey)
     total = (mx << (ex - low)) + (my << (ey - low))
     strip = (total & -total).bit_length() - 1

@@ -3,6 +3,7 @@
 import random
 import re
 import struct
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,9 @@ from xadd import (
     round_to_prec,
 )
 from xadd.core import DEFAULT_EMIN, DEFAULT_MAX_PRECISION, _clip
-from xadd.core import int_from_limbs, limb_count, limbs_from_int, mantissa_is_normalized
+from xadd.core import _limb_struct, float_from_mantissa, limb_count, mantissa_is_normalized
 from xadd.cli import format_ternary
+from xadd.engine import _join
 
 from .helpers import float_value
 
@@ -242,19 +244,26 @@ def test_validator_rejects_cleared_top_bit():
 @pytest.mark.parametrize("count", range(10))
 @pytest.mark.parametrize("width", [32, 64])
 def test_limbs_from_int_msb_first(width, count, fill):
-    # Runs of up to 4 limbs are joined, and runs of 2 split, by shifts; the
-    # others by struct.  Both must give what one big-endian struct call
-    # over the whole run gives.
+    # Named for the split that the buffer replaced.  A mantissa's limbs are
+    # its big-endian bytes, `limb_width // 8` per limb, and the codec reads
+    # them back with one struct call.  Every run, zero limbs
+    # included, must give what one big-endian struct call over it gives, and
+    # a normalized one must be stored so by float_from_mantissa's to_bytes.
     code = f">{count}{'I' if width == 32 else 'Q'}"
     rng = random.Random(width * 100 + count)
     draw = {"zeros": lambda: 0, "ones": lambda: (1 << width) - 1}.get(fill, lambda: rng.getrandbits(width))
     want = tuple(draw() for _ in range(count))
     value = int.from_bytes(struct.pack(code, *want), "big")
-    limbs = limbs_from_int(value, count * width, width)
-    assert limbs == struct.unpack(code, value.to_bytes(count * width // 8, "big")) == want
+    buffer = value.to_bytes(count * width // 8, "big")
+    limbs = _limb_struct(count, width).unpack(buffer)
+    assert limbs == struct.unpack(code, buffer) == want
     assert type(limbs) is tuple and all(type(limb) is int for limb in limbs)
-    assert int_from_limbs(limbs, width) == value
-    assert type(int_from_limbs(limbs, width)) is int
+    assert _limb_struct(count, width).pack(*limbs) == buffer
+    assert int.from_bytes(buffer, "big") == value
+    if count and want[0] >> (width - 1):  # a normalized mantissa of count * width bits
+        x = float_from_mantissa(1, 0, count * width, value, width)
+        assert type(x.limb_bytes) is bytes and x.limb_bytes == buffer
+        assert x.limbs == want and x.mantissa_int() == value
 
 
 def test_float_equality_is_structural():
@@ -284,21 +293,40 @@ def _shaped_run(shape: str, count: int, width: int, rng: random.Random) -> tuple
     return (0,) * lead + tuple(rest)
 
 
+def _shift_join(limbs: tuple[int, ...], width: int) -> int:
+    value = 0
+    for limb in limbs:
+        value = value << width | limb
+    return value
+
+
 @pytest.mark.parametrize("shape", ["zeros", "leading_zeros", "scattered", "zero_led_later_zero"])
 @pytest.mark.parametrize("width", [32, 64])
 def test_int_from_limbs_matches_one_struct_call_on_shaped_runs(width, shape):
-    # Runs of 0..40 limbs cross _SHIFT_LIMBS (4): short runs join by shifts,
-    # longer zero-led ones count their zeros first, the rest pack whole.
-    # Each must equal one big-endian struct call over the whole run.
+    # Named for the join that `_join`'s int.from_bytes replaced.  A run of
+    # limbs is a slice of the buffer that Float(...) packed, and `_join`
+    # reads it with one int.from_bytes at any length, zero-led or not.  Runs of 0..40 limbs,
+    # stored behind a leading limb, must each join to what one big-endian
+    # struct call gives, as x's run and as y's run at an offset.
     rng = random.Random(f"{width}-{shape}")
+    size = width // 8
     for count in range(41):
         for _ in range(8):
             limbs = _shaped_run(shape, count, width, rng)
             assert len(limbs) == count
             code = f">{count}{'I' if width == 32 else 'Q'}"
-            got = int_from_limbs(limbs, width)
-            assert got == int.from_bytes(struct.pack(code, *limbs), "big")
-            assert type(got) is int
+            want = int.from_bytes(struct.pack(code, *limbs), "big")
+            assert want == _shift_join(limbs, width)
+            x = Float(1, 0, (count + 1) * width, (1 << (width - 1),) + limbs, width)
+            run = x.limb_bytes[size:]
+            assert len(run) == count * size
+            top = count * width + 3
+            assert _join(run, b"", 0, top) == (want << 3, 0)
+            for yd in (0, 5, width):
+                shift = top - yd - count * width
+                got = want << shift if shift >= 0 else want >> -shift
+                assert _join(b"", run, yd, top) == (0, got)
+                assert type(got) is int
 
 
 @pytest.mark.parametrize(
@@ -337,12 +365,102 @@ def test_float_accepts_a_tuple_subclass_and_stays_hashable():
     assert x == make_float(1, 0, 2, "10")
 
 
+# --- the storage contract: a limb tuple in, one bytes buffer kept ---------
+
+
+class _Limbs(tuple):
+    pass
+
+
+@st.composite
+def _mantissas(draw):
+    """(width, precision, mantissa, limbs) of a normalized mantissa."""
+    width = draw(st.sampled_from([32, 64]))
+    precision = draw(st.integers(2, 6 * width + 1))
+    mantissa = draw(st.integers(1 << (precision - 1), (1 << precision) - 1))
+    count = limb_count(precision, width)
+    padded = mantissa << (count * width - precision)
+    limbs = tuple(padded >> (width * (count - 1 - i)) & ((1 << width) - 1) for i in range(count))
+    return width, precision, mantissa, limbs
+
+
+@given(_mantissas(), st.integers(-1000, 1000), st.sampled_from([1, -1]))
+def test_constructor_and_trusted_builder_store_the_same_value(case, exponent, sign):
+    width, precision, mantissa, limbs = case
+    built = float_from_mantissa(sign, exponent, precision, mantissa, width)
+    for given_limbs in (limbs, _Limbs(limbs)):
+        x = Float(sign, exponent, precision, given_limbs, width)
+        assert x == built and hash(x) == hash(built)
+        assert type(x.limb_bytes) is bytes and x.limb_bytes == built.limb_bytes
+    # The hash is the one of the fields with the limbs as a tuple, as before
+    # the buffer: the same in every process, whatever the hash seed.
+    assert hash(built) == hash((sign, exponent, precision, limbs, width))
+
+
+@given(_mantissas(), st.integers(-1000, 1000))
+def test_limbs_view_round_trips_through_the_buffer(case, exponent):
+    width, precision, mantissa, limbs = case
+    x = Float(1, exponent, precision, limbs, width)
+    assert len(x.limb_bytes) == len(limbs) * width // 8
+    assert x.limb_bytes == b"".join(limb.to_bytes(width // 8, "big") for limb in limbs)
+    assert x.limbs == limbs and type(x.limbs) is tuple
+    assert all(type(limb) is int for limb in x.limbs)
+    assert Float(1, exponent, precision, x.limbs, width) == x
+    assert x.mantissa_int() >> (len(limbs) * width - precision) == mantissa
+    assert x.mantissa_bits() == format(mantissa, "b")
+
+
+@given(_mantissas(), st.integers(-1000, 1000))
+def test_repr_spells_the_limbs_as_a_tuple(case, exponent):
+    width, precision, _, limbs = case
+    x = Float(-1, exponent, precision, _Limbs(limbs), width)
+    assert repr(x) == (
+        f"Float(sign=-1, exponent={exponent}, precision={precision}, limbs={limbs!r}, limb_width={width})"
+    )
+
+
+def test_repr_of_a_known_value():
+    assert repr(make_float(1, 3, 65, "1" + "0" * 63 + "1", ctx=Context(limb_width=32))) == (
+        "Float(sign=1, exponent=3, precision=65, limbs=(2147483648, 0, 2147483648), limb_width=32)"
+    )
+
+
+@given(_mantissas())
+def test_constructor_refuses_with_the_messages_of_the_tuple_storage(case):
+    width, precision, _, limbs = case
+    with pytest.raises(NotNormalized, match=r"^limbs must be a tuple of ints, got \[") as refused:
+        Float(1, 0, precision, list(limbs), width)
+    assert str(refused.value) == f"limbs must be a tuple of ints, got {_clip(repr(list(limbs)))}"
+    flagged = limbs[:-1] + (True,)
+    with pytest.raises(NotNormalized, match=r"^limbs must be a tuple of ints, got "):
+        Float(1, 0, precision, flagged, width)
+    unnormalized = (limbs[0] >> 1,) + limbs[1:]  # the leading bit cleared
+    with pytest.raises(NotNormalized) as refused:
+        Float(1, 0, precision, unnormalized, width)
+    assert str(refused.value) == (
+        f"mantissa {_clip(repr(unnormalized))} is not a normalized {precision}-bit value at width {width}"
+    )
+
+
+def test_frozen_value_refuses_assignment():
+    x = make_float(1, 0, 2, "11")
+    for name in ("sign", "exponent", "precision", "limb_bytes", "limb_width"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, getattr(x, name))
+    # The view is no field, and the frozen __setattr__ of a slotted
+    # dataclass refuses other names with an AttributeError or, on CPython
+    # 3.11, a TypeError.  Either way the value keeps its limbs.
+    with pytest.raises((AttributeError, TypeError)):
+        x.limbs = (1 << 63,)
+    assert x.limbs == (3 << 62,)
+
+
 def test_int_from_limbs_packs_only_what_shifts_and_counts_cannot_join(monkeypatch):
-    # Runs of at most 4 limbs join by shifts, with no struct.  A longer run
-    # led by zeros that all lead it packs only the limbs after them (none
-    # when it is all zeros), so the shift join may take what is left; any
-    # other longer run packs whole.  Every split of the leading zeros is
-    # tried, and each join equals one struct call over the whole run.
+    # Named for the join that `_join`'s int.from_bytes replaced.  No join
+    # packs a struct: `_join` reads runs of 0..12 limbs, led by any
+    # number of zeros, with one int.from_bytes per operand and no struct
+    # call.  Only Float(...) and the limbs view compile one, a pack or an
+    # unpack of the whole mantissa.
     import xadd.core
 
     calls = []
@@ -355,13 +473,13 @@ def test_int_from_limbs_packs_only_what_shifts_and_counts_cannot_join(monkeypatc
         big = lambda: rng.randrange(2, 1 << width)
         for count in range(13):
             for lead in range(count + 1):
-                # limbs -> the length of the run that must be packed
-                cases = {(0,) * lead + tuple(big() for _ in range(count - lead)): count - lead}
-                if 0 < lead < count - 1:  # a later zero keeps the whole run
-                    cases[(0,) * lead + (big(), 0) + tuple(big() for _ in range(count - lead - 2))] = count
-                for limbs, packed in cases.items():
-                    calls.clear()
-                    got = int_from_limbs(limbs, width)
-                    assert calls == ([packed] if packed > 4 else [])
-                    code = f">{count}{'I' if width == 32 else 'Q'}"
-                    assert got == int.from_bytes(struct.pack(code, *limbs), "big")
+                limbs = (0,) * lead + tuple(big() for _ in range(count - lead))
+                code = f">{count}{'I' if width == 32 else 'Q'}"
+                run = struct.pack(code, *limbs)
+                calls.clear()
+                got = _join(run, run, 0, count * width)
+                assert calls == []
+                assert got == (_shift_join(limbs, width),) * 2
+        x = Float(1, 0, 3 * width, (1 << (width - 1), 0, big()), width)
+        assert calls == [3]
+        assert x.limbs[0] == 1 << (width - 1) and calls == [3, 3]

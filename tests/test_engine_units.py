@@ -266,11 +266,12 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
 
 @pytest.fixture
 def joins(monkeypatch):
-    """Each `_join` call that `_settle` makes, as (xs, ys, top, xv, yv, yd)."""
+    """Each `_join` call that `_settle` makes, one per slice after the
+    first, as (xs, ys, top, xv, yv, yd)."""
     calls = []
 
-    def recording(xs, ys, w, yd, top):
-        xv, yv = _join(xs, ys, w, yd, top)
+    def recording(xs, ys, yd, top):
+        xv, yv = _join(xs, ys, yd, top)
         calls.append((xs, ys, top, xv, yv, yd))
         return xv, yv
 
@@ -286,28 +287,41 @@ def _on_grid(mantissa: int, width: int, start: int, end: int) -> int:
 
 
 def _assert_joins_hold_the_mantissas(x, y, p, d, calls) -> int:
-    """Settle x + y and check every slice `_settle` joined: on each position
-    of the slice, x's int holds x's mantissa bit and y's int holds y's
-    (0 where an operand has no bit), both aligned on x's grid.  y's int may
-    carry bits above the slice, but every y limb joined overlaps the slice,
-    and no slice after the first runs past the longer operand's last block.
-    Returns the number of slices."""
+    """Settle x + y over recording buffers and check every slice `_settle`
+    took: x's runs follow one another from its first limb, and y's run
+    starts at the limb holding the slice's first position, or later, and
+    its last limb starts inside the slice.  On each slice after the first,
+    which `_join` joins, x's int holds x's mantissa bit and y's int holds
+    y's on each position of the slice (0 where an operand has no bit), both
+    aligned on x's grid; y's int may carry bits above the slice.  No slice
+    after the first runs past the longer operand's last block.  Returns the
+    number of slices."""
+    from .test_scan import _recorded
+
     calls.clear()
-    _settle(x, y, p, d)
+    (rx, xs), (ry, ys) = _recorded(x), _recorded(y)
+    _settle(rx, ry, p, d)
     w = x.limb_width
+    size = w // 8
     xm, ym = x.mantissa_int(), y.mantissa_int()
+    assert len(xs.slices) == len(ys.slices) == len(calls) + 1
     end = 0
-    for _, ys, top, xv, yv, yd in calls:
-        # y's run starts at the limb holding the slice's first position, or
-        # later, and its last limb starts inside the slice.
-        assert not ys or (yd > -w and yd + (len(ys) - 1) * w < top)
-        end += top  # slices run on from one another; a slice is top bits long
-        mask = (1 << top) - 1
-        assert xv == _on_grid(xm, len(x.limbs) * w, 0, end) & mask
-        assert yv & mask == _on_grid(ym, len(y.limbs) * w, d, end) & mask
+    for k, ((xa, xb), (ya, yb)) in enumerate(zip(xs.slices, ys.slices)):
+        assert xa == end  # slices run on from one another
+        end = xb
+        top = (xb - xa) * 8  # the slice's length in bits
+        yd = d + (ya - xa) * 8  # where y's run starts, from the slice's start
+        y_limbs = len(y.limb_bytes[ya:yb]) // size
+        assert not y_limbs or (yd > -w and yd + (y_limbs - 1) * w < top)
+        if k:
+            assert calls[k - 1][2] == top and calls[k - 1][5] == yd
+            xv, yv = calls[k - 1][3:5]
+            mask = (1 << top) - 1
+            assert xv == _on_grid(xm, len(x.limb_bytes) * 8, 0, end * 8) & mask
+            assert yv & mask == _on_grid(ym, len(y.limb_bytes) * 8, d, end * 8) & mask
     first = ((p + 2) // w + _FIRST_SLICE) * w
-    assert end <= max(first, -(-max(x.precision, d + y.precision) // w) * w)
-    return len(calls)
+    assert end * 8 <= max(first, -(-max(x.precision, d + y.precision) // w) * w)
+    return len(xs.slices)
 
 
 @pytest.mark.parametrize("w", [32, 64])
@@ -388,10 +402,11 @@ def test_join_holds_the_mantissas_after_equal_ones(w, joins):
 @pytest.mark.parametrize("p", [2, 29, 30, 31, 53, 62, 63, 64, 126])
 def test_whole_operand_join_at_the_branch_edge(w, p, joins):
     # y ends one bit before, at or one bit past the first slice's end, and x
-    # ends at or one bit past it.  When both end inside the slice, it holds
-    # each operand whole and `_join` gets the limb tuples themselves; on
-    # every side the join holds both mantissas and the add agrees with the
-    # oracle.
+    # ends at or one bit past it.  When both end inside the slice, it takes
+    # each operand's buffer whole; on every side the join holds both
+    # mantissas and the add agrees with the oracle.
+    from .test_scan import _recorded
+
     ctx = Context(limb_width=w)
     top = ((p + 2) // w + _FIRST_SLICE) * w
     rng = random.Random(p * w)
@@ -405,7 +420,10 @@ def test_whole_operand_join_at_the_branch_edge(w, p, joins):
                 y = make_float_from_int(1, -d, n, 1 << (n - 1) | rng.getrandbits(n - 1), ctx=ctx)
                 _assert_joins_hold_the_mantissas(x, y, p, d, joins)
                 if m <= top and y_end <= top:
-                    assert joins[0][0] is x.limbs and joins[0][1] is y.limbs
+                    (rx, xs), (ry, ys) = _recorded(x), _recorded(y)
+                    _settle(rx, ry, p, d)
+                    assert xs.slices[0][1] >= len(xs) and ys.slices[0][1] >= len(ys)
+                    assert xs.reach == len(xs) and ys.reach == len(ys)
                     inside += 1
                 for mode in RoundingMode:
                     got = add_positive(x, y, p, mode, ctx=ctx)

@@ -319,51 +319,58 @@ def test_equal_ones_switch_boundaries(w, name):
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
-    # Both 53-bit operands lie inside the first slice, so _settle's one _join
-    # call gets each operand's limb tuple itself (slicing a tuple whole
-    # returns it): one 2-limb int_from_limbs call per operand at w = 32, none
-    # at w = 64, where each operand is used as its one limb.  The window and
-    # the scan read the same two ints.  An add whose operands reach past the
-    # first slice joins each later slice too.
+    # Both 53-bit operands lie inside the first slice, so _settle slices each
+    # operand's buffer once, whole, and joins each with one int.from_bytes,
+    # at w = 32 as at w = 64; `_join`, which joins later slices, is not
+    # called.  The window and the scan read the same two ints.  An add whose
+    # operands reach past the first slice joins each later slice too.
     import xadd.engine
 
-    calls, joins = [], []
-    join, slice_join = xadd.engine.int_from_limbs, xadd.engine._join
-    monkeypatch.setattr(
-        xadd.engine, "int_from_limbs", lambda limbs, width: calls.append(limbs) or join(limbs, width)
-    )
+    reads, joins = [], []
+    from_bytes, slice_join = xadd.engine._from_bytes, xadd.engine._join
+    monkeypatch.setattr(xadd.engine, "_from_bytes", lambda run, order: reads.append(run) or from_bytes(run, order))
     monkeypatch.setattr(xadd.engine, "_join", lambda *args: joins.append(args) or slice_join(*args))
     ctx = Context(limb_width=w)
     rng = random.Random(53)
     x = make_float_from_int(1, 0, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
     y = make_float_from_int(1, -20, 53, rng.getrandbits(52) | 1 << 52, ctx=ctx)
-    out = add_positive(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    (rx, xs), (ry, ys) = _recorded(x), _recorded(y)
+    out = add_positive(rx, ry, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     want = exact_add_round(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     assert (out.result, out.ternary) == (want.result, want.ternary)
     # fb = 0, and y's tail below the window settles the class at bit 6.
     assert out.stats.trailing_bits_examined == 6
-    assert len(calls) == {32: 2, 64: 0}[w]
-    assert len(joins) == 1
-    assert joins[0][0] is x.limbs and joins[0][1] is y.limbs
+    first = (55 // w + 4) * w // 8  # the first slice's end, in bytes
+    assert xs.slices == [(0, first)] and ys.slices == [(0, first)]
+    assert first >= len(xs) and first >= len(ys)  # each slice holds its operand whole
+    assert reads == [x.limb_bytes, y.limb_bytes]
+    assert joins == []
 
-    joins.clear()
+    reads.clear()
     m = 1 << 14
     xm = rng.getrandbits(m) | 1 << (m - 1)
     lx = make_float_from_int(1, 0, m, xm, ctx=ctx)
     ly = make_float_from_int(1, -1, m - 1, ~xm & ((1 << (m - 1)) - 1) | 1 << (m - 2), ctx=ctx)
-    out = add_positive(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    (rx, xs), (ry, ys) = _recorded(lx), _recorded(ly)
+    out = add_positive(rx, ry, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     want = exact_add_round(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     assert (out.result, out.ternary) == (want.result, want.ternary)
     assert out.stats.trailing_bits_examined > m - 100
-    assert len(joins) > 1
-    assert joins[0][3:] == (1, (55 // w + 4) * w)  # (yd, top) of the first slice
+    assert len(joins) > 1 and len(reads) == 2 * (len(joins) + 1)
+    assert xs.slices[0] == ys.slices[0] == (0, first)
+    # The second slice, 2 * 4 blocks: x from the first slice's end, and y
+    # from its limb that holds the slice's first position, which y, one bit
+    # down, starts a limb earlier.
+    assert joins[0][2:] == (1 - w, 8 * w)
+    assert xs.slices[1] == (first, first + w) and ys.slices[1][0] == first - w // 8
 
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_machine_size_add_packs_no_struct(w, monkeypatch):
-    # A 53-bit add joins at most 4 limbs per operand, and stores its result
-    # as its one limb or splits it into 2: all by shifts.  A scan-sized add still joins its long
-    # slices through struct.
+    # No add packs a struct: a 53-bit add joins its operands by from_bytes
+    # and stores its result by to_bytes, and a scan-sized add joins its long
+    # slices the same way.  _limb_struct serves only Float(...) and the
+    # limbs view, so add_positive calls it at no operand size.
     import xadd.core
 
     calls = []
@@ -384,19 +391,22 @@ def test_machine_size_add_packs_no_struct(w, monkeypatch):
     assert calls == []
     want = exact_add_round(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     assert (out.result, out.ternary) == (want.result, want.ternary)
-    calls.clear()
     out = add_positive(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     assert out.stats.trailing_bits_examined > m - 100
-    assert calls and max(calls) > 4
+    assert calls == []
 
 
-class _Recording(tuple):
-    """Limbs that record the highest index taken from them, plus one."""
+class _Recording(bytes):
+    """A limb buffer that records each slice taken from it, as the (start,
+    stop) the slice asked for, and the highest byte index taken, plus one."""
 
-    reach = 0
+    def __init__(self, data):
+        self.slices = []
+        self.reach = 0
 
     def __getitem__(self, key):
         if isinstance(key, slice):
+            self.slices.append((key.start or 0, key.stop))
             start, stop, _ = key.indices(len(self))
             reach = stop if stop > start else 0
         else:
@@ -410,15 +420,16 @@ class _Recording(tuple):
 
 
 def _recorded(x):
-    limbs = _Recording(x.limbs)
-    rx = Float(x.sign, x.exponent, x.precision, limbs, x.limb_width)
-    limbs.reach = 0  # the constructor's own checks are not the engine's reads
-    return rx, limbs
+    """x with its limb buffer swapped for a `_Recording` of the same bytes."""
+    buffer = _Recording(x.limb_bytes)
+    rx = Float(x.sign, x.exponent, x.precision, x.limbs, x.limb_width)
+    object.__setattr__(rx, "limb_bytes", buffer)  # past the frozen __setattr__
+    return rx, buffer
 
 
 def test_limbs_touched_counts_every_limb_the_engine_takes():
-    # Each operand's storage records the limbs actually taken: their sum is
-    # limbs_touched, and the logical read counts never exceed it.
+    # Each operand's buffer records the bytes actually taken: in limbs, their
+    # sum is limbs_touched, and the logical read counts never exceed it.
     def cases():
         yield from _golden_cases()
         rng = random.Random(2005)
@@ -436,7 +447,7 @@ def test_limbs_touched_counts_every_limb_the_engine_takes():
             if isinstance(out, Overflow):
                 continue
             s = out.stats
-            assert xs.reach + ys.reach == s.limbs_touched
+            assert (xs.reach + ys.reach) // (x.limb_width // 8) == s.limbs_touched
             assert s.limbs_touched >= s.x_limbs_read + s.y_limbs_read
             checked += 1
     assert checked > 9000
@@ -602,9 +613,11 @@ def test_exact_sum_at_the_cap_packs_only_the_first_slice(w, monkeypatch):
     # Two binary64 values stored at 2^24 bits, at p = 113: the sum is exact,
     # so the fb = 0 scan reads every limb of both operands.  The first slice
     # holds all their significant bits; each later slice is all zeros and
-    # joins to 0 by a count, so no struct longer than the first slice is
-    # compiled, where packing the zeros compiled one per doubling slice.
+    # joins to 0.  No add compiles a struct, where packing the zeros once
+    # compiled one per doubling slice, and the slices take each buffer once
+    # over, up to its end.
     import xadd.core
+    import xadd.engine
 
     ctx = Context(limb_width=w)
     m, p, d = DEFAULT_MAX_PRECISION, 113, 7
@@ -614,18 +627,23 @@ def test_exact_sum_at_the_cap_packs_only_the_first_slice(w, monkeypatch):
     y = make_float_from_int(1, -d, m, yv << (m - 53), ctx=ctx)
     reads = _least_prefix(x, y, p)
     assert reads[1:] == (len(x.limbs), len(y.limbs))
-    calls = []
-    compile_struct = xadd.core._limb_struct
+    (rx, xs), (ry, ys) = _recorded(x), _recorded(y)
+    calls, joins = [], []
+    compile_struct, slice_join = xadd.core._limb_struct, xadd.engine._join
     monkeypatch.setattr(
         xadd.core, "_limb_struct", lambda count, width: calls.append(count) or compile_struct(count, width)
     )
-    first = (p + 2) // w + 4  # the window's blocks and four more
-    for a, b in ((x, y), (y, x)):
+    monkeypatch.setattr(xadd.engine, "_join", lambda *args: joins.append(slice_join(*args)) or joins[-1])
+    for a, b in ((rx, ry), (ry, rx)):
         for mode in ALL_MODES:
-            calls.clear()
+            joins.clear()
+            xs.slices.clear()
             got = add_positive(a, b, p, mode, ctx=ctx)
-            assert calls and max(calls) <= first
-            want = exact_add_round(a, b, p, mode, ctx=ctx)
+            assert calls == []
+            assert joins and set(joins) == {(0, 0)}
+            starts, stops = zip(*xs.slices)  # x's slices run on from one another to its end
+            assert starts == (0, *stops[:-1]) and stops[-2] < len(xs) <= stops[-1]
+            want = exact_add_round(x, y, p, mode, ctx=ctx)
             assert (got.result, got.ternary) == (want.result, want.ternary)
             assert got.ternary == 0
             s = got.stats

@@ -1,5 +1,6 @@
-"""Time `add_positive` against the `exact_add_round` oracle at machine
-precision, for one or more trees of the library in one process.
+"""Time `add_positive` against the `exact_add_round` oracle, at machine
+precision and on scan-sized operands, for one or more trees of the library
+in one process.
 
     python3 tools/engine_ratio.py --src src
     python3 tools/engine_ratio.py --src /tmp/parent/src --src src --rounds 21
@@ -7,11 +8,17 @@ precision, for one or more trees of the library in one process.
 Each ``--src`` directory holds an ``xadd`` package.  The package is copied
 under its own name (``xadd_0``, ``xadd_1``, ...) into a temporary directory,
 so that every tree loads beside the others; it imports only relatively.
-Two sets of 2,000 pairs are built in each tree from fixed seeds, rounded at
-nearest:
+Three sets are built in each tree from fixed seeds, rounded at nearest:
 
-- ``u53``: uniform 53-bit mantissas at p = 53, y 0 to 20 binades below x;
-- ``rc64``: `xadd.cli._random_case` pairs of up to 64 bits.
+- ``u53``: 2,000 pairs of uniform 53-bit mantissas at p = 53, y 0 to 20
+  binades below x;
+- ``rc64``: 2,000 `xadd.cli._random_case` pairs of up to 64 bits;
+- ``scan``: 200 pairs of 2^14 to 2^15 bits, at 32- and 64-bit limbs, whose
+  tails keep the error class open to the last bits, drawn by the
+  benchmark's ``scan`` workload (``benchmarks/workloads.py``) in its three
+  kinds: a zero tail but for x's last bit (fb = 0), complementary tails
+  (fb = 1) and ties.  The mantissas are drawn once, so every tree builds
+  the same values, through the public `make_float_from_int` only.
 
 A round times, for each tree in turn, one pass of `add_positive` and one
 of `exact_add_round` over each set, with the garbage collector off as in
@@ -37,8 +44,13 @@ import tempfile
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from workloads import Scan, stratum_size  # noqa: E402  the benchmark's scan pairs
+
 PAIRS = 2000
 U53_SEED, RC64_SEED = 53, 64
+SCAN_PAIRS, SCAN_SEED = 200, 14
+SETS = ("u53", "rc64", "scan")
 
 
 def _load(src: Path, name: str, into: Path):
@@ -47,8 +59,21 @@ def _load(src: Path, name: str, into: Path):
     return importlib.import_module(name), importlib.import_module(f"{name}.cli")
 
 
-def _sets(xadd, cli) -> dict[str, list]:
-    """The `u53` and `rc64` pairs as (x, y, p), built by this tree."""
+def _scan_specs() -> list:
+    """The `scan` pairs as the benchmark's plain-int specs, one stratum of
+    [2^14, 2^15] bits each, cycling through its three tail kinds."""
+    rng = random.Random(SCAN_SEED)
+    return [
+        Scan.one(
+            rng, Scan.kinds[i % 3], stratum_size(14, 15, i, SCAN_PAIRS),
+            rng.choice((53, 64, 113, 256)), "nearest", (32, 64)[i // 3 % 2],
+        )
+        for i in range(SCAN_PAIRS)
+    ]
+
+
+def _sets(xadd, cli, scan_specs) -> dict[str, list]:
+    """The `u53`, `rc64` and `scan` pairs as (x, y, p), built by this tree."""
     rng = random.Random(U53_SEED)
     u53 = []
     for _ in range(PAIRS):
@@ -58,7 +83,16 @@ def _sets(xadd, cli) -> dict[str, list]:
         u53.append((x, y, 53))
     rng = random.Random(RC64_SEED)
     rc64 = [cli._random_case(rng, 64, xadd.DEFAULT_CONTEXT) for _ in range(PAIRS)]
-    return {"u53": u53, "rc64": rc64}
+    contexts = {w: xadd.Context(limb_width=w) for w in (32, 64)}
+    scan = [
+        (
+            xadd.make_float_from_int(1, s.ex, s.m, s.x, ctx=contexts[s.width]),
+            xadd.make_float_from_int(1, s.ey, s.n, s.y, ctx=contexts[s.width]),
+            s.p,
+        )
+        for s in scan_specs
+    ]
+    return {"u53": u53, "rc64": rc64, "scan": scan}
 
 
 def _per_call_us(function, cases, mode) -> float:
@@ -81,12 +115,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="xadd-ratio-") as tmp:
         sys.path.insert(0, tmp)
         trees = []
+        scan_specs = _scan_specs()
         for i, src in enumerate(args.src):
             xadd, cli = _load(src.resolve(), f"xadd_{i}", Path(tmp))
             mode = xadd.RoundingMode.NEAREST_EVEN
-            trees.append((str(src), xadd.add_positive, xadd.exact_add_round, mode, _sets(xadd, cli)))
+            trees.append((str(src), xadd.add_positive, xadd.exact_add_round, mode, _sets(xadd, cli, scan_specs)))
 
-        times = {(i, name, which): [] for i in range(len(trees)) for name in ("u53", "rc64") for which in (0, 1)}
+        times = {(i, name, which): [] for i in range(len(trees)) for name in SETS for which in (0, 1)}
         for r in range(args.rounds):
             for k in range(len(trees)):
                 i = (r + k) % len(trees)
@@ -96,9 +131,9 @@ def main(argv: list[str] | None = None) -> int:
                         function = oracle if which else engine
                         times[i, name, which].append(_per_call_us(function, cases, mode))
 
-    print(f"# {args.rounds} rounds of {PAIRS} pairs per set, median us per call")
+    print(f"# {args.rounds} rounds of {PAIRS}, {PAIRS} and {SCAN_PAIRS} pairs per set, median us per call")
     for i, (src, *_) in enumerate(trees):
-        for name in ("u53", "rc64"):
+        for name in SETS:
             engine = statistics.median(times[i, name, 0])
             oracle = statistics.median(times[i, name, 1])
             print(f"{src} {name} add_positive={engine:.3f} exact_add_round={oracle:.3f} ratio={engine / oracle:.3f}")

@@ -1,14 +1,15 @@
-"""Mutation analysis of the engine, the rounding, the limb codec, the value
-grammar and the oracle.
+"""Mutation analysis of the engine, the rounding, the value type's storage,
+the value grammar and the oracle.
 
     python3 tools/mutants.py --sample 150 --seed 1 --jobs 2
     python3 tools/mutants.py --list
     python3 tools/mutants.py --only engine.py#041 core.py#007
 
 Each mutant makes one small change to one site of ``src/xadd/engine.py``,
-``src/xadd/rounding.py``, ``src/xadd/textio.py``, ``src/xadd/oracle.py`` or
-the limb codec of ``src/xadd/core.py`` (`_SHIFT_LIMBS`, `_limb_struct`,
-`limbs_from_int`, `int_from_limbs`):
+``src/xadd/rounding.py``, ``src/xadd/textio.py``, ``src/xadd/oracle.py`` or,
+in ``src/xadd/core.py``, the value type and its limb buffer: `Float` (its
+validating constructor, the `limbs` view, hash and repr), the trusted
+builder `float_from_mantissa` and the struct codec `_limb_struct`:
 
 - a comparison swapped with its neighbour or its negation (``<`` and
   ``<=``, ``==`` and ``!=``, ``in`` and ``not in``, ``is`` and ``is not``);
@@ -25,7 +26,9 @@ the tree in a temporary directory, and the kill suite (`KILL_SUITE`) runs
 there with ``pytest -x``.  A mutant is killed when the suite fails or runs
 three times as long as the clean run, 60 s at least (a hang), and survives
 when the suite passes.  The unmutated modules, written the same way, must
-pass first; ``--slow`` runs the survivors against `SLOW_SUITE` too.
+pass first; ``--slow`` runs the survivors against `SLOW_SUITE` too.  A name
+in `TARGETS` that its file does not define stops the tool with a non-zero
+exit, ``--list`` included, so that a renamed target cannot drop out.
 
 A mutant's id is its file and its index in the file's list of sites, which
 ``--list`` prints with the line and the source it changes; ids hold for
@@ -36,33 +39,32 @@ part of the test suite.
 
 The surviving mutants, all equivalent to the original (ids and lines of
 the tree this list was written for; ``--list`` prints them).  The last runs
-killed 266 of ``engine.py``'s 291 mutants, 25 of ``textio.py``'s 31 and 29
-of ``oracle.py``'s 34; the 25, 6 and 5 below survive:
+killed 282 of ``engine.py``'s 306 mutants, all 26 of ``core.py``'s, 25 of
+``textio.py``'s 31 and 33 of ``oracle.py``'s 38; the 24, 6 and 5 below
+survive:
 
 - ``engine.py#006`` (line 51) ``GT_U = 4``: GT_U only occurs with fb = 1,
   where ``(window << 1) + 3`` and ``+ 4`` agree above their two lowest
   bits and both leave those nonzero, so `round_magnitude` rounds and
   carries the same.
-- ``engine.py#023``, ``#029`` (lines 103-104) ``xs[-1]``, ``ys[-1]``: the
-  run has one limb there.
-- ``engine.py#037``, ``#038`` (line 106) ``shift > 0``, ``shift >= 1``;
-  ``#051``, ``#192``, ``#219`` (lines 149, 217, 231) ``hi >= ls``;
-  ``#108`` (line 189) ``m <= y_end``; ``#110``, ``#158`` (lines 191, 207)
-  ``m >= y_end``; ``#119`` (line 196) ``end <= top``; ``#176`` (line 213)
-  ``j + size <= stop``; ``#186``, ``#188`` (line 216) ``ya >= 0``,
-  ``ya > -1``; ``#240``, ``#242`` (line 237) ``hi <= nx``, ``yb <= ny``:
-  at the boundary both branches give the same value (a shift by 0, an
-  empty slice, the same bound or the same clamp).
-- ``engine.py#245``, ``#246``, ``#248``, ``#249`` (line 260),
+- ``engine.py#029``, ``#030``, ``#063``, ``#064`` (lines 108, 158)
+  ``shift > 0``, ``shift >= 1``; ``#046``, ``#195`` (lines 152, 224)
+  ``hi >= ls``; ``#122`` (line 198) ``m <= y_end``; ``#124``, ``#172``
+  (lines 200, 216) ``m >= y_end``; ``#133`` (line 205) ``end <= top``;
+  ``#190`` (line 222) ``j + size <= stop``; ``#205``, ``#207`` (line 226)
+  ``ya >= 0``, ``ya > -1``; ``#255``, ``#257`` (line 247) ``hi <= nx``,
+  ``yb <= ny``: at the boundary both branches give the same value (a
+  shift by 0, an empty slice, the same bound or the same clamp).
+- ``engine.py#260``, ``#261``, ``#263``, ``#264`` (line 270),
   ``rounding.py#069``, ``#070`` (line 112), ``textio.py#028``, ``#029``
   (line 66) and ``oracle.py#003``, ``#004``, ``#006``, ``#007`` (line 40)
   ``sign <= 0``, ``sign < 1``: a sign is +1 or -1, so these agree with
   ``sign < 0``.
-- ``engine.py#257``, ``#258``, ``#259`` (line 264) ``2 < precision``,
+- ``engine.py#272``, ``#273``, ``#274`` (line 274) ``2 < precision``,
   ``precision < DEFAULT_MAX_PRECISION``, ``3 <= precision``: the precision
   at the bound fails the inline test and falls through to
   `check_precision`, which lets it pass.
-- ``engine.py#273`` (line 273) ``x.precision <= y.precision``: it swaps
+- ``engine.py#288`` (line 283) ``x.precision <= y.precision``: it swaps
   only operands tied on exponent and precision, and `_settle` reads such a
   pair symmetrically, counters included.
 - ``textio.py#000``, ``#001`` (line 35) ``token.find("e", 3)``,
@@ -72,7 +74,7 @@ of ``oracle.py``'s 34; the 25, 6 and 5 below survive:
   with the same message.
 - ``textio.py#003``, ``#004`` (line 36) ``mark <= 0``, ``mark < 1``: `find`
   from index 2 returns -1 or at least 2.
-- ``oracle.py#019`` (line 48) ``total | -total``: for a positive int it is
+- ``oracle.py#023`` (line 48) ``total | -total``: for a positive int it is
   ``-(total & -total)``, whose bit length is the same.
 """
 
@@ -97,7 +99,7 @@ PACKAGE = Path("src") / "xadd"
 TARGETS = {
     "engine.py": None,
     "rounding.py": None,
-    "core.py": {"_SHIFT_LIMBS", "_limb_struct", "limbs_from_int", "int_from_limbs"},
+    "core.py": {"_limb_struct", "Float", "float_from_mantissa"},
     "textio.py": None,
     "oracle.py": None,
 }
@@ -201,7 +203,20 @@ def _parse(file: str) -> tuple[str, ast.Module]:
     return text, ast.parse(text)
 
 
+def _check_targets() -> None:
+    """Refuse a file map that names what its file does not define, so that
+    a renamed or deleted target cannot drop out of the run unnoticed."""
+    for file, names in TARGETS.items():
+        if names is None:
+            continue
+        defined = {_defined_name(stmt) for stmt in _parse(file)[1].body}
+        missing = sorted(names - defined)
+        if missing:
+            raise SystemExit(f"{PACKAGE / file} defines no {', '.join(missing)}: update TARGETS")
+
+
 def enumerate_mutants() -> list[Mutant]:
+    _check_targets()
     mutants = []
     for file, names in TARGETS.items():
         text, tree = _parse(file)
