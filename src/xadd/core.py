@@ -208,6 +208,10 @@ class Float:
     limb_bytes: bytes
     limb_width: int
 
+    # A positional ``case Float(s, e, p, limbs, w)`` binds the public limb
+    # tuple, not the stored buffer.
+    __match_args__ = ("sign", "exponent", "precision", "limbs", "limb_width")
+
     def __init__(
         self, sign: int, exponent: int, precision: int, limbs: tuple[int, ...], limb_width: int
     ) -> None:

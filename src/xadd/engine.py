@@ -135,11 +135,11 @@ def _settle(
 
     The first slice spans the window's blocks and _FIRST_SLICE more, and
     each later slice starts at the next block and at the y limb holding its
-    first position; each slice's runs of x and y are joined on x's grid, the
-    first in `_settle` and the later ones by `_join`.  One loop tests each
-    slice with one XNOR or OR, and after equal ones goes on with OR in the
-    same slice.  The stats charge what a walk one block at a time would
-    consult up to the settling position, the window's limbs at least.
+    first position; `_join` joins what each slice takes from x and y.  One
+    loop tests each slice with one XNOR or OR, and after equal ones goes on
+    with OR in the same slice.  The stats charge what a walk one block at a
+    time would consult up to the settling position, the window's limbs at
+    least.
     """
     w = x.limb_width
     b = w >> 3  # bytes per limb
@@ -150,12 +150,7 @@ def _settle(
     hi = window // w + _FIRST_SLICE
     top = hi * w
     yb = hi - ls if hi > ls else 0  # y's limbs up to the slice's end
-    # The first slice is joined here, as `_join` joins the later ones: most
-    # adds join only this one, and the call would cost them about 4%.
-    xs, ys = xl[: hi * b], yl[: yb * b]
-    shift = top - d - len(ys) * 8
-    xv, yv = _from_bytes(xs, "big") << (top - len(xs) * 8), _from_bytes(ys, "big")
-    yv = yv << shift if shift >= 0 else yv >> -shift
+    xv, yv = _join(xl[: hi * b], yl[: yb * b], d, top)
     total = (xv >> (top - window)) + (yv >> (top - window))
     exponent = x.exponent
     shifted_out = None

@@ -419,6 +419,18 @@ def test_repr_spells_the_limbs_as_a_tuple(case, exponent):
     )
 
 
+@given(_mantissas(), st.integers(-1000, 1000))
+def test_positional_match_binds_the_limbs_tuple(case, exponent):
+    # A positional class pattern binds the limbs as a tuple, not the buffer.
+    width, precision, _, limbs = case
+    match float_from_mantissa(-1, exponent, precision, case[2], width):
+        case Float(sign, e, p, got, w):
+            assert (sign, e, p, got, w) == (-1, exponent, precision, limbs, width)
+            assert type(got) is tuple
+        case _:
+            pytest.fail("a Float did not match its class pattern")
+
+
 def test_repr_of_a_known_value():
     assert repr(make_float(1, 3, 65, "1" + "0" * 63 + "1", ctx=Context(limb_width=32))) == (
         "Float(sign=1, exponent=3, precision=65, limbs=(2147483648, 0, 2147483648), limb_width=32)"

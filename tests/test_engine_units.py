@@ -266,8 +266,8 @@ def test_window_matches_direct_recomputation(m, n, d, p, data):
 
 @pytest.fixture
 def joins(monkeypatch):
-    """Each `_join` call that `_settle` makes, one per slice after the
-    first, as (xs, ys, top, xv, yv, yd)."""
+    """Each `_join` call that `_settle` makes, one per slice, as (xs, ys,
+    top, xv, yv, yd)."""
     calls = []
 
     def recording(xs, ys, yd, top):
@@ -290,12 +290,11 @@ def _assert_joins_hold_the_mantissas(x, y, p, d, calls) -> int:
     """Settle x + y over recording buffers and check every slice `_settle`
     took: x's runs follow one another from its first limb, and y's run
     starts at the limb holding the slice's first position, or later, and
-    its last limb starts inside the slice.  On each slice after the first,
-    which `_join` joins, x's int holds x's mantissa bit and y's int holds
-    y's on each position of the slice (0 where an operand has no bit), both
-    aligned on x's grid; y's int may carry bits above the slice.  No slice
-    after the first runs past the longer operand's last block.  Returns the
-    number of slices."""
+    its last limb starts inside the slice.  `_join` joins each slice: on
+    each position of the slice x's int holds x's mantissa bit and y's int
+    holds y's (0 where an operand has no bit), both aligned on x's grid;
+    y's int may carry bits above the slice.  No slice after the first runs
+    past the longer operand's last block.  Returns the number of slices."""
     from .test_scan import _recorded
 
     calls.clear()
@@ -304,21 +303,18 @@ def _assert_joins_hold_the_mantissas(x, y, p, d, calls) -> int:
     w = x.limb_width
     size = w // 8
     xm, ym = x.mantissa_int(), y.mantissa_int()
-    assert len(xs.slices) == len(ys.slices) == len(calls) + 1
+    assert len(xs.slices) == len(ys.slices) == len(calls)
     end = 0
-    for k, ((xa, xb), (ya, yb)) in enumerate(zip(xs.slices, ys.slices)):
+    for (xa, xb), (ya, yb), (_, _, top, xv, yv, yd) in zip(xs.slices, ys.slices, calls):
         assert xa == end  # slices run on from one another
         end = xb
-        top = (xb - xa) * 8  # the slice's length in bits
-        yd = d + (ya - xa) * 8  # where y's run starts, from the slice's start
+        assert top == (xb - xa) * 8  # the slice's length in bits
+        assert yd == d + (ya - xa) * 8  # where y's run starts, from the slice's start
         y_limbs = len(y.limb_bytes[ya:yb]) // size
         assert not y_limbs or (yd > -w and yd + (y_limbs - 1) * w < top)
-        if k:
-            assert calls[k - 1][2] == top and calls[k - 1][5] == yd
-            xv, yv = calls[k - 1][3:5]
-            mask = (1 << top) - 1
-            assert xv == _on_grid(xm, len(x.limb_bytes) * 8, 0, end * 8) & mask
-            assert yv & mask == _on_grid(ym, len(y.limb_bytes) * 8, d, end * 8) & mask
+        mask = (1 << top) - 1
+        assert xv == _on_grid(xm, len(x.limb_bytes) * 8, 0, end * 8) & mask
+        assert yv & mask == _on_grid(ym, len(y.limb_bytes) * 8, d, end * 8) & mask
     first = ((p + 2) // w + _FIRST_SLICE) * w
     assert end * 8 <= max(first, -(-max(x.precision, d + y.precision) // w) * w)
     return len(xs.slices)
@@ -402,11 +398,10 @@ def test_join_holds_the_mantissas_after_equal_ones(w, joins):
 @pytest.mark.parametrize("p", [2, 29, 30, 31, 53, 62, 63, 64, 126])
 def test_whole_operand_join_at_the_branch_edge(w, p, joins):
     # y ends one bit before, at or one bit past the first slice's end, and x
-    # ends at or one bit past it.  When both end inside the slice, it takes
-    # each operand's buffer whole; on every side the join holds both
-    # mantissas and the add agrees with the oracle.
-    from .test_scan import _recorded
-
+    # ends at or one bit past it.  When both end inside the slice, `_join`
+    # gets each operand's buffer itself (slicing bytes whole returns them);
+    # on every side the join holds both mantissas and the add agrees with
+    # the oracle.
     ctx = Context(limb_width=w)
     top = ((p + 2) // w + _FIRST_SLICE) * w
     rng = random.Random(p * w)
@@ -420,10 +415,9 @@ def test_whole_operand_join_at_the_branch_edge(w, p, joins):
                 y = make_float_from_int(1, -d, n, 1 << (n - 1) | rng.getrandbits(n - 1), ctx=ctx)
                 _assert_joins_hold_the_mantissas(x, y, p, d, joins)
                 if m <= top and y_end <= top:
-                    (rx, xs), (ry, ys) = _recorded(x), _recorded(y)
-                    _settle(rx, ry, p, d)
-                    assert xs.slices[0][1] >= len(xs) and ys.slices[0][1] >= len(ys)
-                    assert xs.reach == len(xs) and ys.reach == len(ys)
+                    joins.clear()
+                    _settle(x, y, p, d)
+                    assert joins[0][0] is x.limb_bytes and joins[0][1] is y.limb_bytes
                     inside += 1
                 for mode in RoundingMode:
                     got = add_positive(x, y, p, mode, ctx=ctx)

@@ -319,11 +319,11 @@ def test_equal_ones_switch_boundaries(w, name):
 
 @pytest.mark.parametrize("w", [32, 64])
 def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
-    # Both 53-bit operands lie inside the first slice, so _settle slices each
-    # operand's buffer once, whole, and joins each with one int.from_bytes,
-    # at w = 32 as at w = 64; `_join`, which joins later slices, is not
-    # called.  The window and the scan read the same two ints.  An add whose
-    # operands reach past the first slice joins each later slice too.
+    # Both 53-bit operands lie inside the first slice, so _settle's one _join
+    # call gets each operand's buffer itself (slicing bytes whole returns
+    # them) and joins each with one int.from_bytes, at w = 32 as at w = 64.
+    # The window and the scan read the same two ints.  An add whose operands
+    # reach past the first slice joins each later slice too.
     import xadd.engine
 
     reads, joins = [], []
@@ -344,9 +344,13 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     assert xs.slices == [(0, first)] and ys.slices == [(0, first)]
     assert first >= len(xs) and first >= len(ys)  # each slice holds its operand whole
     assert reads == [x.limb_bytes, y.limb_bytes]
-    assert joins == []
+    assert len(joins) == 1
+    joins.clear()
+    add_positive(x, y, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
+    assert joins[0][0] is x.limb_bytes and joins[0][1] is y.limb_bytes
 
     reads.clear()
+    joins.clear()
     m = 1 << 14
     xm = rng.getrandbits(m) | 1 << (m - 1)
     lx = make_float_from_int(1, 0, m, xm, ctx=ctx)
@@ -356,12 +360,12 @@ def test_one_join_per_operand_when_the_first_slice_settles(w, monkeypatch):
     want = exact_add_round(lx, ly, 53, RoundingMode.NEAREST_EVEN, ctx=ctx)
     assert (out.result, out.ternary) == (want.result, want.ternary)
     assert out.stats.trailing_bits_examined > m - 100
-    assert len(joins) > 1 and len(reads) == 2 * (len(joins) + 1)
+    assert len(joins) > 2 and len(reads) == 2 * len(joins)
     assert xs.slices[0] == ys.slices[0] == (0, first)
     # The second slice, 2 * 4 blocks: x from the first slice's end, and y
     # from its limb that holds the slice's first position, which y, one bit
     # down, starts a limb earlier.
-    assert joins[0][2:] == (1 - w, 8 * w)
+    assert joins[1][2:] == (1 - w, 8 * w)
     assert xs.slices[1] == (first, first + w) and ys.slices[1][0] == first - w // 8
 
 
@@ -640,7 +644,7 @@ def test_exact_sum_at_the_cap_packs_only_the_first_slice(w, monkeypatch):
             xs.slices.clear()
             got = add_positive(a, b, p, mode, ctx=ctx)
             assert calls == []
-            assert joins and set(joins) == {(0, 0)}
+            assert joins[0] != (0, 0) and set(joins[1:]) == {(0, 0)}
             starts, stops = zip(*xs.slices)  # x's slices run on from one another to its end
             assert starts == (0, *stops[:-1]) and stops[-2] < len(xs) <= stops[-1]
             want = exact_add_round(x, y, p, mode, ctx=ctx)

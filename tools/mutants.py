@@ -39,32 +39,32 @@ part of the test suite.
 
 The surviving mutants, all equivalent to the original (ids and lines of
 the tree this list was written for; ``--list`` prints them).  The last runs
-killed 282 of ``engine.py``'s 306 mutants, all 26 of ``core.py``'s, 25 of
-``textio.py``'s 31 and 33 of ``oracle.py``'s 38; the 24, 6 and 5 below
+killed 267 of ``engine.py``'s 289 mutants, all 26 of ``core.py``'s, 25 of
+``textio.py``'s 31 and 33 of ``oracle.py``'s 38; the 22, 6 and 5 below
 survive:
 
 - ``engine.py#006`` (line 51) ``GT_U = 4``: GT_U only occurs with fb = 1,
   where ``(window << 1) + 3`` and ``+ 4`` agree above their two lowest
   bits and both leave those nonzero, so `round_magnitude` rounds and
   carries the same.
-- ``engine.py#029``, ``#030``, ``#063``, ``#064`` (lines 108, 158)
-  ``shift > 0``, ``shift >= 1``; ``#046``, ``#195`` (lines 152, 224)
-  ``hi >= ls``; ``#122`` (line 198) ``m <= y_end``; ``#124``, ``#172``
-  (lines 200, 216) ``m >= y_end``; ``#133`` (line 205) ``end <= top``;
-  ``#190`` (line 222) ``j + size <= stop``; ``#205``, ``#207`` (line 226)
-  ``ya >= 0``, ``ya > -1``; ``#255``, ``#257`` (line 247) ``hi <= nx``,
-  ``yb <= ny``: at the boundary both branches give the same value (a
-  shift by 0, an empty slice, the same bound or the same clamp).
-- ``engine.py#260``, ``#261``, ``#263``, ``#264`` (line 270),
+- ``engine.py#029``, ``#030`` (line 108) ``shift > 0``, ``shift >= 1``;
+  ``#046``, ``#178`` (lines 152, 219) ``hi >= ls``; ``#105`` (line 193)
+  ``m <= y_end``; ``#107``, ``#155`` (lines 195, 211) ``m >= y_end``;
+  ``#116`` (line 200) ``end <= top``; ``#173`` (line 217)
+  ``j + size <= stop``; ``#188``, ``#190`` (line 221) ``ya >= 0``,
+  ``ya > -1``; ``#238``, ``#240`` (line 242) ``hi <= nx``, ``yb <= ny``:
+  at the boundary both branches give the same value (a shift by 0, an
+  empty slice, the same bound or the same clamp).
+- ``engine.py#243``, ``#244``, ``#246``, ``#247`` (line 265),
   ``rounding.py#069``, ``#070`` (line 112), ``textio.py#028``, ``#029``
   (line 66) and ``oracle.py#003``, ``#004``, ``#006``, ``#007`` (line 40)
   ``sign <= 0``, ``sign < 1``: a sign is +1 or -1, so these agree with
   ``sign < 0``.
-- ``engine.py#272``, ``#273``, ``#274`` (line 274) ``2 < precision``,
+- ``engine.py#255``, ``#256``, ``#257`` (line 269) ``2 < precision``,
   ``precision < DEFAULT_MAX_PRECISION``, ``3 <= precision``: the precision
   at the bound fails the inline test and falls through to
   `check_precision`, which lets it pass.
-- ``engine.py#288`` (line 283) ``x.precision <= y.precision``: it swaps
+- ``engine.py#271`` (line 278) ``x.precision <= y.precision``: it swaps
   only operands tied on exponent and precision, and `_settle` reads such a
   pair symmetrically, counters included.
 - ``textio.py#000``, ``#001`` (line 35) ``token.find("e", 3)``,
