@@ -422,8 +422,8 @@ def test_repr_spells_the_limbs_as_a_tuple(case, exponent):
 @given(_mantissas(), st.integers(-1000, 1000))
 def test_positional_match_binds_the_limbs_tuple(case, exponent):
     # A positional class pattern binds the limbs as a tuple, not the buffer.
-    width, precision, _, limbs = case
-    match float_from_mantissa(-1, exponent, precision, case[2], width):
+    width, precision, mantissa, limbs = case
+    match float_from_mantissa(-1, exponent, precision, mantissa, width):
         case Float(sign, e, p, got, w):
             assert (sign, e, p, got, w) == (-1, exponent, precision, limbs, width)
             assert type(got) is tuple
